@@ -45,16 +45,19 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def _workers(args) -> int:
+    """An explicit --workers wins; else EXACT1Q_WORKERS; else 1."""
+    if args.workers is not None:
+        return args.workers
     env = os.environ.get("EXACT1Q_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise Exact1qError(f"EXACT1Q_WORKERS must be an integer, got {env!r}")
-        if value < 1:
-            raise Exact1qError("EXACT1Q_WORKERS must be positive")
-        return value
-    return getattr(args, "workers", 1)
+    if env is None:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise Exact1qError(f"EXACT1Q_WORKERS must be an integer, got {env!r}")
+    if value < 1:
+        raise Exact1qError("EXACT1Q_WORKERS must be positive")
+    return value
 
 
 def _cmd_decide(args) -> None:
@@ -195,13 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify every reduced support at arity n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, help="worker processes (default: EXACT1Q_WORKERS, else 1)"
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="re-derive the bundled 3/4-bit catalog")
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, help="worker processes (default: EXACT1Q_WORKERS, else 1)"
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tables)
 

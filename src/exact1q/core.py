@@ -103,14 +103,6 @@ class PartialBooleanFn:
     def non_constant(self) -> bool:
         return bool(self.ones) and bool(self.zeros)
 
-    def value(self, mask: AssignmentMask) -> int | None:
-        """1, 0, or None when the input is outside the promise."""
-        if mask in self.ones:
-            return 1
-        if mask in self.zeros:
-            return 0
-        return None
-
 
 def from_strings(n: int, ones: Sequence[str], zeros: Sequence[str]) -> PartialBooleanFn:
     return PartialBooleanFn(

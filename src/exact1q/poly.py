@@ -57,10 +57,6 @@ def polynomial(coefficients: Iterable[Fraction | int]) -> Degree1Polynomial:
     return Degree1Polynomial(tuple(Fraction(c) for c in coefficients))
 
 
-def evaluate(p: Degree1Polynomial, mask: AssignmentMask) -> Fraction:
-    return p.evaluate(mask)
-
-
 def represent(g: ReducedFn) -> Degree1Polynomial:
     """Degree-1 polynomial representing a feasible reduced function.
 

@@ -97,6 +97,7 @@ def success_probabilities(f: PartialBooleanFn, z: WeightVector) -> SimulationRep
     zero_states = np.column_stack([apply_oracle(start, a, f.n) for a in f.zeros])
     basis = _orthonormal_basis(zero_states)
 
+    zeros = set(f.zeros)
     per_input: dict[int, tuple[float, float]] = {}
     min_success = 1.0
     for x in f.domain:
@@ -105,6 +106,6 @@ def success_probabilities(f: PartialBooleanFn, z: WeightVector) -> SimulationRep
         p0 = min(max(p0, 0.0), 1.0)
         p1 = 1.0 - p0
         per_input[x] = (p0, p1)
-        correct = p0 if x in set(f.zeros) else p1
+        correct = p0 if x in zeros else p1
         min_success = min(min_success, correct)
     return SimulationReport(f.n, per_input, min_success)

@@ -247,16 +247,22 @@ def test_c4_counterexample_support():
     )
 
 
-def test_c5_oracle_equivalence(records3):
+def test_c5_oracle_equivalence(records3, records4):
     t0 = time.time()
     for rec in records3:
         assert rec.feasible == bf_feasible(3, rec.support), rec.support
 
+    # the sampled supports are checked both as solved directly and as
+    # recorded by the levelwise enumeration, which skips most solves
     rnd = random.Random(20260810)
     keys = rnd.sample(range(1, 1 << 15), 2000)
     for key in keys:
         support = tuple(m for m in range(1, 16) if key >> (m - 1) & 1)
-        assert decide_reduced(ReducedFn(4, support)).feasible == bf_feasible(4, support)
+        expected = bf_feasible(4, support)
+        assert decide_reduced(ReducedFn(4, support)).feasible == expected
+        rec = records4[key - 1]
+        assert rec.support == support
+        assert rec.feasible == expected, support
     print(
         f"criterion 5: PASS - simplex agrees with the basic-solution oracle "
         f"on all 127 3-bit supports and 2000 sampled 4-bit supports "

@@ -89,8 +89,35 @@ def test_enumerate_matches_classify(records3):
     assert list(enumerate_reduced(3)) == records3
 
 
-def test_sharding_determinism():
+def test_sharding_determinism(records4):
     assert classify_all(3, workers=3) == classify_all(3)
+    assert classify_all(4, workers=2) == records4
+
+
+def test_removable_bits_match_direct_probes(records3, records4):
+    # probes skipped by subset pruning or by a zero witness weight must not
+    # change the answer of probing every bit
+    from exact1q.feasibility import decide_with_fixed_zeros
+    from exact1q.reduction import ReducedFn
+
+    for n, records in ((3, records3), (4, records4)):
+        for rec in records:
+            if not rec.feasible:
+                continue
+            g = ReducedFn(n, rec.support)
+            direct = tuple(
+                i for i in range(1, n + 1) if decide_with_fixed_zeros(g, {i}).feasible
+            )
+            assert rec.removable_bits == direct, rec.support
+
+
+def test_levelwise_solve_count():
+    # 2487 feasibility solves plus 617 bit probes, out of 32767 supports
+    from exact1q.feasibility import _decide_cached
+
+    _decide_cached.cache_clear()
+    classify_all(4)
+    assert _decide_cached.cache_info().misses == 3104
 
 
 def test_arity_guards():

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from exact1q.cli import main
+from exact1q.cli import _workers, build_parser, main
 from exact1q.jsonio import (
     function_from_dict,
     function_to_dict,
@@ -115,6 +116,37 @@ def test_enumerate_workers_match_single(tmp_path, monkeypatch):
     monkeypatch.setenv("EXACT1Q_WORKERS", "2")
     assert main(["enumerate", "--n", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_workers_flag_beats_environment(monkeypatch):
+    monkeypatch.setenv("EXACT1Q_WORKERS", "3")
+    parser = build_parser()
+    assert _workers(parser.parse_args(["enumerate", "--n", "3", "--workers", "1"])) == 1
+    assert _workers(parser.parse_args(["tables", "--n", "3", "--workers", "2"])) == 2
+    assert _workers(parser.parse_args(["enumerate", "--n", "3"])) == 3
+    # an explicit flag means the variable is never read, even when invalid
+    monkeypatch.setenv("EXACT1Q_WORKERS", "many")
+    assert _workers(parser.parse_args(["enumerate", "--n", "3", "--workers", "1"])) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["enumerate", "--n", "4", "--format", "csv"],
+            "521630a20cfd2bb9cea9ea76d70ef7906dbdb1d0301cd0b6822b7641c00b1a06",
+        ),
+        (
+            ["tables", "--n", "4"],
+            "98fd0f0544a266f1fcae06e0392284cb64279245489339171e0d4b857dff0c4b",
+        ),
+    ],
+)
+def test_n4_output_bytes_pinned(tmp_path, argv, digest):
+    # SHA-256 of the output of the exhaustive (non-levelwise) classifier
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_tables_n3_report(capsys, tmp_path):
