@@ -2,11 +2,13 @@
 
 Everything here is deliberately dumb and shares no code with the solver:
 feasibility by enumerating basic solutions of the equality system over
-every column subset, difference sets by looping over input pairs, and
-group-weight supports by scanning all masks.
+every column subset, arrangement vertices by solving every square system,
+difference sets by looping over input pairs, and group-weight supports by
+scanning all masks.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 HALF = Fraction(1, 2)
 
@@ -92,6 +94,23 @@ def bf_unique_solution(n: int, support):
     """
     eq = [([bit(m, i, n) for i in range(1, n + 1)], HALF) for m in support]
     return _solve_exact(eq, list(range(n)))
+
+
+def bf_vertices(n: int):
+    """Vertices of the arrangement {sum of z over m = 1/2 for every nonzero
+    mask m, z_i = 0, sum z = 1} inside the simplex z >= 0, sum z <= 1.
+
+    Solves every choice of n of the 2**n + n rows, with no symmetry used.
+    """
+    rows = [([bit(m, i, n) for i in range(1, n + 1)], HALF) for m in range(1, 1 << n)]
+    rows += [([int(i == j) for j in range(n)], 0) for i in range(n)]
+    rows.append(([1] * n, 1))
+    out = set()
+    for combo in combinations(rows, n):
+        sol = _solve_exact(list(combo), list(range(n)))
+        if sol is not None and all(v >= 0 for v in sol) and sum(sol) <= 1:
+            out.add(tuple(sol))
+    return out
 
 
 def bf_diff_set(ones, zeros):

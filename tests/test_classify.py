@@ -146,15 +146,42 @@ def test_witness_first_mode_matches_full_mode_maximal():
         assert vertex == full
 
 
-def test_witness_first_runs_at_n5_spotcheck():
+def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     # n=5 maximal supports are produced without subset enumeration; the
-    # single-level supports must be among them
+    # single-level supports must be among them, and the counts are those
+    # of the solver that tried all 435,897 square systems
+    from exact1q import classify
     from exact1q.construct import level_set
 
+    solves = []
+    cramer = classify._cramer
+    monkeypatch.setattr(
+        classify, "_cramer", lambda rows, n: solves.append(1) or cramer(rows, n)
+    )
     recs = maximal_feasible(5)
+    assert len(solves) == 76020  # orbit representatives only
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
+    nontrivial = [rec.support for rec in recs if rec.non_trivial]
+    assert len(recs) == 142
+    assert len(nontrivial) == 85
+    assert len(group_orbits(supports, 5)) == 15
+    assert len(group_orbits(nontrivial, 5)) == 7
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vertex_witnesses_match_bruteforce(n):
+    # the orbit-representative solve, closed under relabelling, finds every
+    # vertex the oracle finds by solving all C(2**n + n, n) systems
+    from fractions import Fraction
+
+    from bruteforce import bf_vertices
+
+    from exact1q.classify import _vertex_witnesses
+
+    got = {tuple(Fraction(v, 2 * det) for v in nums) for nums, det in _vertex_witnesses(n)}
+    assert got == bf_vertices(n)
 
 
 def test_unique_system_witnesses_reproduced_exactly():
@@ -191,6 +218,18 @@ def test_reproduce_tables_n3_rows_agree():
     assert report.count_matches_claim
     # the two zero-weight maximal orbits are surfaced, flagged trivial
     assert len(report.unlisted_maximal_orbits) == 2
+
+
+def test_reproduce_tables_classifies_once(monkeypatch):
+    from exact1q import classify
+
+    calls = []
+    levelwise = classify._levelwise
+    monkeypatch.setattr(
+        classify, "_levelwise", lambda n, mapper: calls.append(n) or levelwise(n, mapper)
+    )
+    reproduce_tables(3)
+    assert calls == [3]
 
 
 def test_maximal_feasible_n4_vertex_cross_check(records4):

@@ -140,10 +140,15 @@ def test_workers_flag_beats_environment(monkeypatch):
             ["tables", "--n", "4"],
             "98fd0f0544a266f1fcae06e0392284cb64279245489339171e0d4b857dff0c4b",
         ),
+        (
+            ["enumerate", "--n", "5", "--format", "json"],
+            "3738e7c9a619c85296e190bcb6ec6479c3833aea836794a5ff0dbe3f1300113c",
+        ),
     ],
 )
-def test_n4_output_bytes_pinned(tmp_path, argv, digest):
-    # SHA-256 of the output of the exhaustive (non-levelwise) classifier
+def test_output_bytes_pinned(tmp_path, argv, digest):
+    # SHA-256 of the output of the exhaustive classifiers: every support
+    # decided at n=4, every square vertex system solved at n=5
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
