@@ -47,6 +47,7 @@ from .feasibility import (
     decide_with_fixed_zeros,
     verify_result,
 )
+from .intlinalg import solve_square
 from .reduction import ReducedFn
 
 FULL_MODE_MAX = 4
@@ -294,37 +295,6 @@ def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
     return sorted(levels + [walls, [(1,) * n + (2,)]], key=len, reverse=True)
 
 
-def _cramer(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int] | None:
-    """Solve n integer rows [a | b] in Cramer form: the solution is
-    nums / det with det > 0, or None when the matrix is singular.
-
-    Fraction-free (Bareiss 1968) forward elimination: after pivot k every
-    entry below it is a (k+1)-minor of the input, so each division by the
-    previous pivot is exact and the last pivot is +-det. Back-substitution
-    then stays exact too, since det * x is an integer vector.
-    """
-    a = [list(r) for r in rows]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        pk = a[k]
-        pv = pk[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], pk)]
-        prev = pv
-    nums = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        nums[i] = (prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))) // row[i]
-    if prev < 0:
-        return tuple(-v for v in nums), -prev
-    return tuple(nums), prev
-
-
 def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Vertices of the arrangement cut out by the level hyperplanes, the
     sign walls and the sum wall that lie in the simplex z >= 0, sum(z) <= 1.
@@ -343,7 +313,7 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     for j, orbit in enumerate(orbits):
         later = orbit[1:] + [row for o in orbits[j + 1:] for row in o]
         for rest in itertools.combinations(later, n - 1):
-            sol = _cramer((orbit[0],) + rest, n)
+            sol = solve_square((orbit[0],) + rest, n)
             if sol is None:
                 continue
             nums, det = sol

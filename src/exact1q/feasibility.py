@@ -12,11 +12,14 @@ has non-negative coefficients on every variable and a strictly negative
 constant). Both answers re-verify by plain arithmetic in `verify_result`,
 which shares no code with the solver.
 
-All arithmetic is `fractions.Fraction`; no float ever enters a decision.
+Arithmetic is exact and never uses floats: the presolve eliminates in
+integers (`intlinalg`, fraction-free), the simplex and the verifiers work
+in `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +27,7 @@ from typing import Iterable, Sequence
 
 from .core import PartialBooleanFn, bit_of, diff_set, sign_vector
 from .errors import InternalError, SchemaError
+from .intlinalg import echelon, reduce_pivot_rows, solve_square
 from .reduction import ReducedFn
 
 Rational = Fraction
@@ -70,64 +74,78 @@ class FeasibilityResult:
 
 
 # ---------------------------------------------------------------------------
-# Solver core: phase-1 simplex with an exact Gaussian presolve.
+# Solver core: phase-1 simplex with an exact fraction-free presolve.
 # ---------------------------------------------------------------------------
 
 def _presolve(eq_rows, nvars):
-    """Row-reduce the equality rows, tracking each surviving row as a
-    combination of the originals.
+    """Row-reduce the equality rows in integers.
 
-    Returns ('infeasible', multipliers) when the equalities alone are
-    contradictory, else ('reduced', rows) where each row is
-    (coeffs, rhs, comb) and comb maps original row index -> Fraction.
+    Each row (integer coeffs, rational rhs) is scaled by its rhs
+    denominator and eliminated fraction-free (`intlinalg.echelon`). Returns
+    ('infeasible', multipliers) when the equalities alone are
+    contradictory, else ('reduced', (rows, pivots)): rows are the reduced
+    row echelon form of the pivot rows as (coeffs, rhs) Fractions, one per
+    pivot (row index, column) in column order.
     """
     work = []
-    for idx, (coeffs, rhs) in enumerate(eq_rows):
-        comb = [_ZERO] * len(eq_rows)
-        comb[idx] = _ONE
-        work.append([[Fraction(v) for v in coeffs], Fraction(rhs), comb])
+    for coeffs, rhs in eq_rows:
+        rhs = Fraction(rhs)
+        scale = rhs.denominator
+        work.append([scale * v for v in coeffs] + [rhs.numerator])
+    pivots, det = echelon(work, nvars)
 
-    pivot_rows = []
-    pivoted = [False] * len(work)
-    for col in range(nvars):
-        pr = None
-        for r, row in enumerate(work):
-            if not pivoted[r] and row[0][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        pivoted[pr] = True
-        pivot_rows.append(pr)
-        prow = work[pr]
-        pc = prow[0][col]
-        if pc != 1:
-            prow[0] = [v / pc for v in prow[0]]
-            prow[1] = prow[1] / pc
-            prow[2] = [v / pc for v in prow[2]]
-        for r, row in enumerate(work):
-            if r == pr:
-                continue
-            factor = row[0][col]
-            if factor == 0:
-                continue
-            pcoef, prhs, pcomb = prow
-            row[0] = [a - factor * b for a, b in zip(row[0], pcoef)]
-            row[1] = row[1] - factor * prhs
-            row[2] = [a - factor * b for a, b in zip(row[2], pcomb)]
-
+    pivoted = {r for r, _ in pivots}
     for r, row in enumerate(work):
-        if pivoted[r]:
-            continue
-        if row[1] != 0:
-            # 0 == rhs with rhs != 0: the combination itself certifies.
-            scale = -1 / row[1]
-            return "infeasible", [v * scale for v in row[2]]
-    return "reduced", [work[r] for r in pivot_rows]
+        if r not in pivoted and row[-1]:
+            # 0 == rhs with rhs != 0: row r minus its combination of the
+            # pivot rows certifies, scaled so the constant is -1.
+            y = _pivot_combination(eq_rows, pivots, [eq_rows[r][0][c] for _, c in pivots])
+            comb = [-v for v in y]
+            comb[r] = _ONE
+            constant = sum((m * rhs for m, (_, rhs) in zip(comb, eq_rows)), _ZERO)
+            return "infeasible", [-m / constant for m in comb]
+
+    rows = [
+        ([Fraction(v, det) for v in out[:-1]], Fraction(out[-1], det))
+        for out in reduce_pivot_rows(work, pivots, det)
+    ]
+    return "reduced", (rows, pivots)
+
+
+def _pivot_combination(eq_rows, pivots, target):
+    """Multipliers over the equality rows, nonzero on the pivot rows p_j
+    only, whose combination equals `target` on the pivot columns c_j: one
+    square solve against the transposed pivot block, with `target` scaled
+    to integers by the lcm of its denominators.
+    """
+    target = [Fraction(v) for v in target]
+    scale = math.lcm(*(v.denominator for v in target))
+    system = [
+        [eq_rows[p][0][c] for p, _ in pivots] + [int(v * scale)]
+        for v, (_, c) in zip(target, pivots)
+    ]
+    nums, det = solve_square(system, len(pivots))
+    mult = [_ZERO] * len(eq_rows)
+    for v, (p, _) in zip(nums, pivots):
+        mult[p] = Fraction(v, det * scale)
+    return mult
+
+
+def _eq_multipliers(eq_rows, pivots, reduced, mu_red):
+    """Multipliers over the equality rows equal to the combination mu_red
+    of the reduced rows, each taken with rhs >= 0 as the simplex uses it.
+
+    A reduced row is (pivot block)^-1 times the pivot rows, so the
+    combination is the one of the pivot rows that equals mu_red, with each
+    row's sign flip folded in, on the pivot columns.
+    """
+    signed = [-m if rhs < 0 else m for m, (_, rhs) in zip(mu_red, reduced)]
+    return _pivot_combination(eq_rows, pivots, signed)
 
 
 def _solve_nonneg(eq_rows, le_rows, nvars):
-    """Feasibility of {A_eq x = b_eq, A_le x <= b_le, x >= 0} over Fractions.
+    """Feasibility of {A_eq x = b_eq, A_le x <= b_le, x >= 0} over Fractions,
+    for integer A_eq and rational b_eq.
 
     Returns (True, x, None) or (False, None, multipliers) where the
     multipliers are per input row, ordered eq rows then le rows, oriented
@@ -137,18 +155,17 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         if rhs < 0:
             raise InternalError("le rows with negative rhs are not used here")
 
-    status, reduced = _presolve(eq_rows, nvars)
+    status, presolved = _presolve(eq_rows, nvars)
     if status == "infeasible":
-        return False, None, list(reduced) + [_ZERO] * len(le_rows)
+        return False, None, list(presolved) + [_ZERO] * len(le_rows)
+    reduced, pivots = presolved
 
-    # Normalize reduced equality rows to rhs >= 0, folding the sign into
-    # the tracked combination.
-    red = []
-    for coeffs, rhs, comb in reduced:
-        if rhs < 0:
-            red.append(([-v for v in coeffs], -rhs, [-v for v in comb]))
-        else:
-            red.append((list(coeffs), rhs, list(comb)))
+    # Normalize reduced equality rows to rhs >= 0; the multipliers of an
+    # infeasible answer fold the sign back in.
+    red = [
+        ([-v for v in coeffs], -rhs) if rhs < 0 else (list(coeffs), rhs)
+        for coeffs, rhs in reduced
+    ]
 
     n_eq = len(red)
     n_le = len(le_rows)
@@ -160,7 +177,7 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         row[nvars + k] = _ONE
         rows.append(row)
         basis.append(nvars + k)
-    for j, (coeffs, rhs, _) in enumerate(red):
+    for j, (coeffs, rhs) in enumerate(red):
         row = list(coeffs) + [_ZERO] * (n_le + n_eq) + [rhs]
         row[nvars + n_le + j] = _ONE
         rows.append(row)
@@ -222,23 +239,9 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
 
     # Infeasible: recover row multipliers from the reduced costs of the
     # initial basis columns, then push them back through the presolve.
-    mu_le = []
-    for k in range(n_le):
-        y = -cost[nvars + k]
-        mu_le.append(-y)
-    mu_red = []
-    for j in range(n_eq):
-        y = _ONE - cost[nvars + n_le + j]
-        mu_red.append(-y)
-    mu_eq = [_ZERO] * len(eq_rows)
-    for j, (_, _, comb) in enumerate(red):
-        mj = mu_red[j]
-        if mj == 0:
-            continue
-        for k, c in enumerate(comb):
-            if c != 0:
-                mu_eq[k] += mj * c
-    return False, None, mu_eq + mu_le
+    mu_le = [cost[nvars + k] for k in range(n_le)]
+    mu_red = [cost[nvars + n_le + j] - _ONE for j in range(n_eq)]
+    return False, None, _eq_multipliers(eq_rows, pivots, reduced, mu_red) + mu_le
 
 
 def _dedup_rows(rows):
@@ -325,19 +328,17 @@ def decide(f: PartialBooleanFn) -> FeasibilityResult:
     """
     diffs = diff_set(f)  # raises ConstantFunctionError when needed
     n = f.n
-    rows = [([1] * (n + 1), _ONE)]
-    for d in diffs:
-        rows.append((list(sign_vector(d, n)), _ZERO))
-    unique, keep = _dedup_rows(rows)
-    feasible, x, mult = _solve_nonneg(unique, [], n + 1)
+    # the rows are distinct: sign vectors of distinct nonzero masks, and
+    # the normalization row is the only one with a nonzero constant
+    rows = [([1] * (n + 1), _ONE)] + [(list(sign_vector(d, n)), _ZERO) for d in diffs]
+    feasible, x, mult = _solve_nonneg(rows, [], n + 1)
     if feasible:
         witness = WeightVector(tuple(x[1:]))
         if witness.z0 != x[0]:
             raise InternalError("normalization row violated in returned solution")
         result = FeasibilityResult(True, witness=witness)
     else:
-        multipliers = tuple(_expand_multipliers(mult, keep, len(unique)))
-        result = FeasibilityResult(False, certificate=FarkasWitness(multipliers))
+        result = FeasibilityResult(False, certificate=FarkasWitness(tuple(mult)))
     if not verify_decision(f, result):
         raise InternalError("solver self-check failed for unreduced system")
     return result
@@ -409,7 +410,7 @@ def verify_result(g: ReducedFn, result: FeasibilityResult, fixed: Iterable[int] 
 def verify_decision(f: PartialBooleanFn, result: FeasibilityResult) -> bool:
     """Re-check an unreduced-system answer from `decide`."""
     n = f.n
-    diffs = diff_set(f)
+    signs = [sign_vector(d, n) for d in diff_set(f)]
     if result.feasible:
         w = result.witness
         if w is None or len(w.z) != n:
@@ -419,8 +420,8 @@ def verify_decision(f: PartialBooleanFn, result: FeasibilityResult) -> bool:
             return False
         if sum(full, _ZERO) != 1:
             return False
-        for d in diffs:
-            if sum(s * v for s, v in zip(sign_vector(d, n), full)) != 0:
+        for sv in signs:
+            if sum(s * v for s, v in zip(sv, full)) != 0:
                 return False
         return True
 
@@ -428,15 +429,15 @@ def verify_decision(f: PartialBooleanFn, result: FeasibilityResult) -> bool:
     if cert is None:
         return False
     mult = cert.multipliers
-    if len(mult) != len(diffs) + 1:
+    if len(mult) != len(signs) + 1:
         return False
     combined_rhs = mult[0] * _ONE
     if combined_rhs >= 0:
         return False
     for col in range(n + 1):
         coef = mult[0]
-        for mu, d in zip(mult[1:], diffs):
-            coef += mu * sign_vector(d, n)[col]
+        for mu, sv in zip(mult[1:], signs):
+            coef += mu * sv[col]
         if coef < 0:
             return False
     return True

@@ -6,19 +6,22 @@ input's sign flips, and measures against the projector onto the span of
 the post-query states of the 0-inputs; a valid weight vector makes that
 span orthogonal to every 1-input state, so the correct answer appears
 with probability 1. This module is the only place floats are allowed,
-and every comparison against it carries an explicit tolerance.
+and every comparison against it carries an explicit tolerance. numpy is
+imported inside the functions, so `import exact1q` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import AssignmentMask, PartialBooleanFn, bit_of, mask_to_string
 from .errors import ArityMismatchError, DegenerateSpanError, SchemaError
 from .feasibility import WeightVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -27,6 +30,8 @@ SUCCESS_TOL = 1e-9
 
 def prepare(z: WeightVector) -> np.ndarray:
     """Pre-query amplitudes: sqrt(z0) on position 0, sqrt(z_i) on position i."""
+    import numpy as np
+
     amps = np.array([math.sqrt(z.z0)] + [math.sqrt(v) for v in z.z], dtype=float)
     if abs(float(np.dot(amps, amps)) - 1.0) > NORM_TOL:
         raise SchemaError("weight vector does not normalize")
@@ -35,6 +40,8 @@ def prepare(z: WeightVector) -> np.ndarray:
 
 def apply_oracle(state: np.ndarray, x: AssignmentMask, n: int | None = None) -> np.ndarray:
     """Sign-flip amplitudes on positions whose input bit is 1; unitary by construction."""
+    import numpy as np
+
     if n is None:
         n = len(state) - 1
     if len(state) != n + 1:
@@ -48,6 +55,8 @@ def apply_oracle(state: np.ndarray, x: AssignmentMask, n: int | None = None) -> 
 def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with column pivoting; drops directions whose
     residual norm falls under RANK_TOL (0-input states may be dependent)."""
+    import numpy as np
+
     cols = [columns[:, j].astype(float).copy() for j in range(columns.shape[1])]
     basis: list[np.ndarray] = []
     while cols:
@@ -93,6 +102,8 @@ def success_probabilities(f: PartialBooleanFn, z: WeightVector) -> SimulationRep
         raise ArityMismatchError(f"weight vector has {len(z.z)} entries, function has {f.n}")
     if not f.zeros:
         raise DegenerateSpanError("no 0-inputs: the accepting projector is undefined")
+    import numpy as np
+
     start = prepare(z)
     zero_states = np.column_stack([apply_oracle(start, a, f.n) for a in f.zeros])
     basis = _orthonormal_basis(zero_states)

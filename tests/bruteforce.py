@@ -3,8 +3,9 @@
 Everything here is deliberately dumb and shares no code with the solver:
 feasibility by enumerating basic solutions of the equality system over
 every column subset, arrangement vertices by solving every square system,
-difference sets by looping over input pairs, and group-weight supports by
-scanning all masks.
+the presolve by rational Gauss-Jordan elimination that carries every
+row's combination of the input rows, difference sets by looping over
+input pairs, and group-weight supports by scanning all masks.
 """
 
 from fractions import Fraction
@@ -52,6 +53,47 @@ def _solve_exact(rows, cols):
     if rank < k:
         return None  # underdetermined
     return [a[where[c]][k] for c in range(k)]
+
+
+def bf_presolve(eq_rows, nvars):
+    """Gauss-Jordan elimination over Fractions that tracks each row as a
+    combination of the input rows.
+
+    Pivot rule: for each column in order, the first row not yet pivoted,
+    in input order, with a nonzero entry. Returns ('infeasible',
+    multipliers) for the first row left as 0 == rhs with rhs != 0 (its
+    combination scaled so the constant is -1), else ('reduced', rows, pivot
+    row indices) where each row is (coeffs, rhs, comb) in pivot order.
+    """
+    m = len(eq_rows)
+    work = []
+    for idx, (coeffs, rhs) in enumerate(eq_rows):
+        comb = [Fraction(0)] * m
+        comb[idx] = Fraction(1)
+        work.append([[Fraction(v) for v in coeffs], Fraction(rhs), comb])
+    pivot_rows = []
+    for col in range(nvars):
+        pr = next((r for r in range(m) if r not in pivot_rows and work[r][0][col] != 0), None)
+        if pr is None:
+            continue
+        pivot_rows.append(pr)
+        pc = work[pr][0][col]
+        pcoef, prhs, pcomb = work[pr] = [
+            [v / pc for v in work[pr][0]], work[pr][1] / pc, [v / pc for v in work[pr][2]]
+        ]
+        for r in range(m):
+            f = work[r][0][col]
+            if r != pr and f != 0:
+                work[r] = [
+                    [a - f * b for a, b in zip(work[r][0], pcoef)],
+                    work[r][1] - f * prhs,
+                    [a - f * b for a, b in zip(work[r][2], pcomb)],
+                ]
+    for r in range(m):
+        if r not in pivot_rows and work[r][1] != 0:
+            scale = -1 / work[r][1]
+            return "infeasible", [v * scale for v in work[r][2]]
+    return "reduced", [tuple(work[r]) for r in pivot_rows], pivot_rows
 
 
 def bf_feasible(n: int, support) -> bool:

@@ -154,9 +154,9 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     from exact1q.construct import level_set
 
     solves = []
-    cramer = classify._cramer
+    solve = classify.solve_square
     monkeypatch.setattr(
-        classify, "_cramer", lambda rows, n: solves.append(1) or cramer(rows, n)
+        classify, "solve_square", lambda rows, n: solves.append(1) or solve(rows, n)
     )
     recs = maximal_feasible(5)
     assert len(solves) == 76020  # orbit representatives only

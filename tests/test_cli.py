@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,10 @@ from exact1q.jsonio import (
 )
 from exact1q.core import from_strings
 from exact1q.errors import SchemaError
+from exact1q.construct import dj_family
 from exact1q.feasibility import decide
+
+from seeded import seeded_functions
 
 
 @pytest.fixture
@@ -152,6 +158,30 @@ def test_output_bytes_pinned(tmp_path, argv, digest):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_decide_output_bytes_pinned(tmp_path):
+    # SHA-256 of the `decide` JSON for the seeded n = 10..12 functions
+    # (feasible, infeasible by the equalities alone, infeasible by the
+    # sign constraints) and the middle dj_family(12) level (220 rows)
+    family = dj_family(12)
+    digest = hashlib.sha256()
+    for f in seeded_functions((10, 11, 12)) + [family[len(family) // 2]]:
+        fn, out = tmp_path / "fn.json", tmp_path / "out.json"
+        fn.write_text(json.dumps(function_to_dict(f)))
+        assert main(["decide", str(fn), "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == "bdab4814e9f36da3f1a71cadb392e9190fe3412371b5e2c08c8e2ad3ff52b01e"
+
+
+def test_import_does_not_load_numpy():
+    # numpy is for the simulator only; every other command starts without it
+    import exact1q
+
+    src = str(Path(exact1q.__file__).parents[1])
+    code = "import sys; import exact1q; sys.exit('numpy' in sys.modules)"
+    probe = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"])
+    assert probe.returncode == 0
 
 
 def test_tables_n3_report(capsys, tmp_path):

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from exact1q.core import PartialBooleanFn, from_strings, string_to_mask
+from exact1q.core import PartialBooleanFn, diff_set, from_strings, sign_vector, string_to_mask
 from exact1q.errors import ConstantFunctionError, SchemaError
 from exact1q.feasibility import (
+    _eq_multipliers,
+    _presolve,
     FarkasWitness,
     FeasibilityResult,
     WeightVector,
@@ -19,7 +21,8 @@ from exact1q.feasibility import (
 )
 from exact1q.reduction import ReducedFn, reduce
 
-from bruteforce import bf_feasible
+from bruteforce import bf_feasible, bf_presolve, bit
+from seeded import seeded_functions
 
 
 def g(n, *bits):
@@ -200,3 +203,65 @@ def test_every_answer_verifies_n3(records3):
     for rec in records3:
         inst = ReducedFn(3, rec.support)
         assert verify_result(inst, decide_reduced(inst))
+
+
+def _check_presolve(eq_rows, nvars):
+    """The integer presolve agrees with the rational oracle: same status,
+    same pivot rows, same reduced rows, and the same multipliers on both
+    infeasible branches. For the simplex branch the rebuild is linear in
+    the reduced-row combination, so each unit combination is checked."""
+    got = _presolve(eq_rows, nvars)
+    want = bf_presolve(eq_rows, nvars)
+    assert got[0] == want[0]
+    if want[0] == "infeasible":
+        assert got[1] == want[1]
+        return want[0]
+    rows, pivots = got[1]
+    assert [r for r, _ in pivots] == want[2]
+    assert rows == [(coeffs, rhs) for coeffs, rhs, _ in want[1]]
+    for j, (_, rhs, comb) in enumerate(want[1]):
+        unit = [F(int(i == j)) for i in range(len(rows))]
+        sign = -1 if rhs < 0 else 1
+        assert _eq_multipliers(eq_rows, pivots, rows, unit) == [sign * c for c in comb]
+    return want[0]
+
+
+def _reduced_rows(n, support, fixed=()):
+    free = [i for i in range(1, n + 1) if i not in fixed]
+    rows = {tuple(bit(m, i, n) for i in free): None for m in support}
+    return [(list(coeffs), F(1, 2)) for coeffs in rows], len(free)
+
+
+def test_presolve_matches_oracle_n_le_3():
+    seen = set()
+    for n in (1, 2, 3):
+        for key in range(1, 1 << ((1 << n) - 1)):
+            support = [m for m in range(1, 1 << n) if key >> (m - 1) & 1]
+            for size in range(n + 1):
+                for fixed in itertools.combinations(range(1, n + 1), size):
+                    seen.add(_check_presolve(*_reduced_rows(n, support, fixed)))
+    assert seen == {"infeasible", "reduced"}
+
+
+def test_presolve_matches_oracle_records4(records4):
+    # every support the levelwise walk solves: the feasible ones and the
+    # infeasible ones whose immediate subsets are all feasible
+    feasible = {r.support for r in records4 if r.feasible}
+    solved = [
+        r.support
+        for r in records4
+        if r.feasible
+        or all(r.support[:k] + r.support[k + 1:] in feasible for k in range(len(r.support)))
+    ]
+    assert len(solved) == 2487
+    for support in solved:
+        _check_presolve(*_reduced_rows(4, support))
+
+
+def test_presolve_matches_oracle_unreduced_n10_13():
+    seen = set()
+    for f in seeded_functions((10, 11, 12, 13)):
+        n = f.n
+        rows = [([1] * (n + 1), F(1))] + [(list(sign_vector(d, n)), F(0)) for d in diff_set(f)]
+        seen.add(_check_presolve(rows, n + 1))
+    assert seen == {"infeasible", "reduced"}
