@@ -32,7 +32,6 @@ from .construct import GroupedWeightProfile, construct, dj_family, level_solutio
 from .feasibility import (
     FarkasWitness,
     FeasibilityResult,
-    Rational,
     WeightVector,
     decide,
     decide_reduced,
@@ -59,7 +58,6 @@ __all__ = [
     "InputClasses",
     "FarkasWitness",
     "FeasibilityResult",
-    "Rational",
     "WeightVector",
     "SimulationReport",
     "decide",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,9 +32,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import catalog
 from .core import (
     PartialBooleanFn,
-    bit_of,
     hamming_weight,
     is_symmetric,
+    mask_bits,
     mask_to_string,
     permute_mask,
     string_to_mask,
@@ -149,31 +149,22 @@ def _classify_candidate(args: tuple[int, int, tuple[int, ...]]) -> Classificatio
     return _classify_support(n, _key_support(key, n), candidates)
 
 
-def _attach_inclusion(records: list[ClassificationRecord]) -> list[ClassificationRecord]:
-    """Fill in maximal/included_by by one size-descending sweep over the
-    feasible supports (subset tests are bitset tests on support keys)."""
-    feasible = [(r, _support_key(r.support)) for r in records if r.feasible]
-    feasible.sort(key=lambda t: (-len(t[0].support), t[1]))
-    maximal: list[tuple[int, tuple[int, ...]]] = []
-    verdict: dict[int, tuple[int, ...] | None] = {}
-    for rec, key in feasible:
-        parent = None
-        for mkey, msupport in maximal:
-            if key != mkey and key & mkey == key:
-                parent = msupport
-                break
-        if parent is None:
-            maximal.append((key, rec.support))
-        verdict[key] = parent
+def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
+    """Each distinct support key mapped to its first maximal strict
+    superset among `keys`, or to None when it is maximal.
 
-    out = []
-    for rec in records:
-        if not rec.feasible:
-            out.append(rec)
-            continue
-        parent = verdict[_support_key(rec.support)]
-        out.append(replace(rec, maximal=parent is None, included_by=parent))
-    return out
+    One sweep in (-popcount, key) order, which is also the order "first"
+    refers to: a strict superset has more masks, so every maximal key is
+    met before its subsets. Subset tests are bitset tests on the keys.
+    """
+    maximal: list[int] = []
+    parents: dict[int, int | None] = {}
+    for key in sorted(set(keys), key=lambda k: (-k.bit_count(), k)):
+        parent = next((m for m in maximal if key & m == key), None)
+        if parent is None:
+            maximal.append(key)
+        parents[key] = parent
+    return parents
 
 
 def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
@@ -184,7 +175,8 @@ def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
     infeasible subset, padded with zero multipliers, certifies it. Bit
     removability is subset-closed too (a zero-weight witness for a support
     serves each of its subsets), so a candidate probes only the bits that
-    every immediate subset can drop.
+    every immediate subset can drop. Feasible records are then marked
+    maximal or given their first maximal superset (`_inclusion`).
     """
     n_masks = (1 << n) - 1
     # removable bits of every feasible support met so far, by support key;
@@ -208,10 +200,16 @@ def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
             if rec.feasible:
                 removable[key] = frozenset(rec.removable_bits)
                 layer.append(key)
-    return [
-        records[key] if key in records else _record(n, _key_support(key, n), None, ())
-        for key in range(1, 1 << n_masks)
-    ]
+    parents = _inclusion(key for key in removable if key)
+    out = []
+    for key in range(1, 1 << n_masks):
+        rec = records[key] if key in records else _record(n, _key_support(key, n), None, ())
+        if key in parents:
+            parent = parents[key]
+            included_by = None if parent is None else _key_support(parent, n)
+            rec = replace(rec, maximal=parent is None, included_by=included_by)
+        out.append(rec)
+    return out
 
 
 def classify_all(n: int, workers: int = 1) -> list[ClassificationRecord]:
@@ -225,9 +223,9 @@ def classify_all(n: int, workers: int = 1) -> list[ClassificationRecord]:
             f"n = 5 offers witness-first maximal_feasible only"
         )
     if workers <= 1:
-        return _attach_inclusion(_levelwise(n, map))
+        return _levelwise(n, map)
     with get_context("spawn").Pool(workers) as pool:
-        return _attach_inclusion(_levelwise(n, pool.map))
+        return _levelwise(n, pool.map)
 
 
 def enumerate_reduced(n: int, workers: int = 1) -> Iterator[ClassificationRecord]:
@@ -265,11 +263,8 @@ def _nontrivial_maximal(records: Iterable[ClassificationRecord]) -> list[Classif
     """The non-trivial records with no non-trivial strict superset, in
     support-key order."""
     keys = {_support_key(r.support): r for r in records if r.non_trivial}
-    return [
-        keys[key]
-        for key in sorted(keys)
-        if not any(key != other and key & other == key for other in keys)
-    ]
+    parents = _inclusion(keys)
+    return [keys[key] for key in sorted(keys) if parents[key] is None]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
     """
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for mask in range(1, 1 << n):
-        row = tuple(bit_of(mask, i, n) for i in range(1, n + 1)) + (1,)
+        row = mask_bits(mask, n) + (1,)
         levels[hamming_weight(mask) - 1].append(row)
     walls = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
     # stable sort: ties keep level order, then walls, then the sum wall
@@ -335,7 +330,7 @@ def _one_class(nums: Sequence[int], det: int, n: int) -> tuple[int, ...]:
     return tuple(
         mask
         for mask in range(1, 1 << n)
-        if sum(v for i, v in enumerate(nums, 1) if bit_of(mask, i, n)) == det
+        if sum(v for v, b in zip(nums, mask_bits(mask, n)) if b) == det
     )
 
 
@@ -345,12 +340,8 @@ def _vertex_mode_records(n: int) -> list[ClassificationRecord]:
         cls = _one_class(nums, det, n)
         if cls:
             classes.add(cls)
-    keyed = sorted(_support_key(c) for c in classes)
-    maximal = [
-        key
-        for key in keyed
-        if not any(other != key and key & other == key for other in keyed)
-    ]
+    parents = _inclusion(_support_key(c) for c in classes)
+    maximal = sorted(key for key, parent in parents.items() if parent is None)
     records = []
     for key in maximal:
         support = _key_support(key, n)
@@ -396,7 +387,7 @@ class RowCheck:
     support: tuple[str, ...]
     expected_kind: str
     claimed_weights: tuple[Fraction, ...] | None
-    family: bool
+    family_representative: bool
     included_in: tuple[str, ...] | None
     weights_valid: bool | None
     feasible: bool
@@ -426,43 +417,16 @@ class TableReport:
     discrepancies: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        def row_dict(row: RowCheck) -> dict:
-            return {
-                "support": list(row.support),
-                "expected_kind": row.expected_kind,
-                "claimed_weights": [str(w) for w in row.claimed_weights]
-                if row.claimed_weights
-                else None,
-                "family_representative": row.family,
-                "included_in": list(row.included_in) if row.included_in else None,
-                "weights_valid": row.weights_valid,
-                "feasible": row.feasible,
-                "witness": [str(w) for w in row.witness] if row.witness else None,
-                "symmetric": row.symmetric,
-                "removable_bits": list(row.removable_bits),
-                "dj_computable": row.dj_computable,
-                "derived_kind": row.derived_kind,
-                "agree": row.agree,
-                "notes": list(row.notes),
-            }
+        """Field names are the keys; rationals become "p/q" strings."""
+        return asdict(self, dict_factory=lambda items: {k: _jsonable(v) for k, v in items})
 
-        return {
-            "n": self.n,
-            "rows": [row_dict(r) for r in self.rows],
-            "total_records": self.total_records,
-            "feasible_records": self.feasible_records,
-            "maximal_supports": [list(s) for s in self.maximal_supports],
-            "unlisted_maximal_orbits": [list(s) for s in self.unlisted_maximal_orbits],
-            "nontrivial_supports": [list(s) for s in self.nontrivial_supports],
-            "nontrivial_orbit_count": self.nontrivial_orbit_count,
-            "claimed_nontrivial_supports": [
-                list(s) for s in self.claimed_nontrivial_supports
-            ],
-            "claimed_nontrivial_count": self.claimed_nontrivial_count,
-            "derived_nontrivial_count": self.derived_nontrivial_count,
-            "count_matches_claim": self.count_matches_claim,
-            "discrepancies": list(self.discrepancies),
-        }
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def _derived_kind(rec: ClassificationRecord) -> str:
@@ -548,7 +512,7 @@ def reproduce_tables(n: int, workers: int = 1) -> TableReport:
                 support=tuple(mask_to_string(m, n) for m in support),
                 expected_kind=row.kind,
                 claimed_weights=claimed,
-                family=row.family,
+                family_representative=row.family,
                 included_in=row.included_in,
                 weights_valid=weights_valid,
                 feasible=rec.feasible,

@@ -8,9 +8,7 @@ Output is UTF-8 and byte-stable for identical inputs at a single worker.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
 from .classify import enumerate_reduced, reproduce_tables
 from .construct import construct, dj_family, level_solutions, profile
@@ -35,8 +33,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -44,20 +41,8 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _workers(args) -> int:
-    """An explicit --workers wins; else EXACT1Q_WORKERS; else 1."""
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("EXACT1Q_WORKERS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise Exact1qError(f"EXACT1Q_WORKERS must be an integer, got {env!r}")
-    if value < 1:
-        raise Exact1qError("EXACT1Q_WORKERS must be positive")
-    return value
+def _emit(payload, out_path: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def _cmd_decide(args) -> None:
@@ -128,25 +113,17 @@ def _record_row(rec) -> list[str]:
 
 
 def _cmd_enumerate(args) -> None:
-    records = enumerate_reduced(args.n, workers=_workers(args))
+    records = enumerate_reduced(args.n, workers=args.workers)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(_CSV_COLUMNS) + "\n")
-        for rec in records:
-            buf.write(",".join(_record_row(rec)) + "\n")
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        lines = [",".join(_CSV_COLUMNS)] + [",".join(_record_row(rec)) for rec in records]
+        _write("\n".join(lines) + "\n", args.out)
     else:
         payload = [dict(zip(_CSV_COLUMNS, _record_row(rec))) for rec in records]
         _emit(payload, args.out)
 
 
 def _cmd_tables(args) -> None:
-    report = reproduce_tables(args.n, workers=_workers(args))
+    report = reproduce_tables(args.n, workers=args.workers)
     _emit(report.to_json_dict(), args.out)
 
 
@@ -198,17 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify every reduced support at arity n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--workers", type=int, help="worker processes (default: EXACT1Q_WORKERS, else 1)"
-    )
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="re-derive the bundled 3/4-bit catalog")
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
-    p.add_argument(
-        "--workers", type=int, help="worker processes (default: EXACT1Q_WORKERS, else 1)"
-    )
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tables)
 

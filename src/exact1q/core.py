@@ -39,9 +39,9 @@ def check_arity(n: int) -> int:
     return n
 
 
-def bit_of(mask: AssignmentMask, i: int, n: int) -> int:
-    """Bit x_i (1-based, x_1 = most significant) of an n-bit mask."""
-    return (mask >> (n - i)) & 1
+def mask_bits(mask: AssignmentMask, n: int) -> tuple[int, ...]:
+    """Bits x_1..x_n of an n-bit mask as 0/1, x_1 the most significant."""
+    return tuple([mask >> s & 1 for s in range(n - 1, -1, -1)])
 
 
 def mask_to_string(mask: AssignmentMask, n: int) -> str:
@@ -62,7 +62,7 @@ def hamming_weight(mask: AssignmentMask) -> int:
 
 def sign_vector(mask: AssignmentMask, n: int) -> tuple[int, ...]:
     """Length-(n+1) vector over {+1, -1}: entry 0 is +1, entry i is (-1)**x_i."""
-    return (1,) + tuple(-1 if bit_of(mask, i, n) else 1 for i in range(1, n + 1))
+    return (1,) + tuple([1 - 2 * b for b in mask_bits(mask, n)])
 
 
 def _sorted_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -155,11 +155,7 @@ def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
 
 def permute_mask(mask: AssignmentMask, perm: Sequence[int], n: int) -> AssignmentMask:
     """Relabel bit positions: bit perm[i] of the result equals bit i of mask."""
-    out = 0
-    for i in range(1, n + 1):
-        if bit_of(mask, i, n):
-            out |= 1 << (n - perm[i - 1])
-    return out
+    return sum(1 << (n - p) for p, b in zip(perm, mask_bits(mask, n)) if b)
 
 
 def permute_bits(f: PartialBooleanFn, perm: Sequence[int]) -> PartialBooleanFn:

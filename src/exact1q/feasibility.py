@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import PartialBooleanFn, bit_of, diff_set, sign_vector
+from .core import PartialBooleanFn, diff_set, mask_bits, sign_vector
 from .errors import InternalError, SchemaError
 from .intlinalg import echelon, reduce_pivot_rows, solve_square
 from .reduction import ReducedFn
-
-Rational = Fraction
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -244,49 +242,22 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
     return False, None, _eq_multipliers(eq_rows, pivots, reduced, mu_red) + mu_le
 
 
-def _dedup_rows(rows):
-    """Merge identical rows; returns (unique_rows, keep_index_per_original)."""
-    seen = {}
-    unique = []
-    keep = []
-    for coeffs, rhs in rows:
-        key = (tuple(coeffs), rhs)
-        if key not in seen:
-            seen[key] = len(unique)
-            unique.append((coeffs, rhs))
-        keep.append(seen[key])
-    return unique, keep
-
-
-def _expand_multipliers(mult_unique, keep, n_unique):
-    out = [_ZERO] * len(keep)
-    used = [False] * n_unique
-    for orig, uniq in enumerate(keep):
-        if not used[uniq]:
-            out[orig] = mult_unique[uniq]
-            used[uniq] = True
-    return out
-
-
-def _mask_coeffs(mask: int, n: int, free: Sequence[int]) -> list[int]:
-    return [bit_of(mask, i, n) for i in free]
-
-
 def _solve_reduced_system(n, support, fixed):
     free = [i for i in range(1, n + 1) if i not in fixed]
     nvars = len(free)
-    rows = [(_mask_coeffs(m, n, free), _HALF) for m in support]
-    unique, keep = _dedup_rows(rows)
-    le_rows = [([1] * nvars, _ONE)]
-    feasible, x, mult = _solve_nonneg(unique, le_rows, nvars)
+    # duplicate rows need no filter: the presolve never pivots on a later
+    # copy, which eliminates to 0 == 0 and gets multiplier 0
+    rows = []
+    for m in support:
+        bits = mask_bits(m, n)
+        rows.append(([bits[i - 1] for i in free], _HALF))
+    feasible, x, mult = _solve_nonneg(rows, [([1] * nvars, _ONE)], nvars)
     if feasible:
         z = [_ZERO] * n
         for pos, i in enumerate(free):
             z[i - 1] = x[pos]
         return FeasibilityResult(True, witness=WeightVector(tuple(z)))
-    mult_eq = _expand_multipliers(mult[: len(unique)], keep, len(unique))
-    multipliers = tuple(mult_eq) + (mult[len(unique)],)
-    return FeasibilityResult(False, certificate=FarkasWitness(multipliers))
+    return FeasibilityResult(False, certificate=FarkasWitness(tuple(mult)))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -366,7 +337,7 @@ def _verify_reduced(n, support, result, fixed):
         if sum(w.z, _ZERO) > 1:
             return False
         for mask in support:
-            total = sum(w.z[i - 1] for i in range(1, n + 1) if bit_of(mask, i, n))
+            total = sum(v for v, b in zip(w.z, mask_bits(mask, n)) if b)
             if total != _HALF:
                 return False
         return True
@@ -385,12 +356,13 @@ def _verify_reduced(n, support, result, fixed):
         combined_rhs += mu * _HALF
     if combined_rhs >= 0:
         return False
+    bits = [mask_bits(mask, n) for mask in support]
     for i in range(1, n + 1):
         if i in fixed:
             continue
         coef = mu_le
-        for mu, mask in zip(mult, support):
-            if bit_of(mask, i, n):
+        for mu, row in zip(mult, bits):
+            if row[i - 1]:
                 coef += mu
         if coef < 0:
             return False

@@ -64,13 +64,16 @@ def function_to_dict(f: PartialBooleanFn) -> dict:
     }
 
 
-def load_function(path: str) -> PartialBooleanFn:
+def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: invalid JSON ({err})") from err
-    return function_from_dict(data)
+
+
+def load_function(path: str) -> PartialBooleanFn:
+    return function_from_dict(_load_json(path))
 
 
 def witness_from_dict(data: Any) -> WeightVector:
@@ -90,12 +93,7 @@ def witness_to_dict(w: WeightVector) -> dict:
 
 
 def load_witness(path: str) -> WeightVector:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: invalid JSON ({err})") from err
-    return witness_from_dict(data)
+    return witness_from_dict(_load_json(path))
 
 
 def result_to_dict(result: FeasibilityResult) -> dict:

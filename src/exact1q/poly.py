@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import AssignmentMask, bit_of, check_arity, mask_to_string
+from .core import AssignmentMask, check_arity, mask_bits, mask_to_string
 from .errors import ArityMismatchError, InvalidFormError, NotFeasibleError
 from .feasibility import decide_reduced
 from .reduction import ReducedFn
@@ -35,14 +35,8 @@ class Degree1Polynomial:
     def evaluate(self, mask: AssignmentMask) -> Fraction:
         if not 0 <= mask < 1 << self.n:
             raise ArityMismatchError(f"mask {mask} out of range for {self.n} variables")
-        return sum(
-            (c for i, c in enumerate(self.coefficients, start=1) if bit_of(mask, i, self.n)),
-            Fraction(0),
-        )
-
-    def admissible(self) -> bool:
-        """Representation-valid form: all coefficients >= 0 and sum <= 2."""
-        return all(c >= 0 for c in self.coefficients) and sum(self.coefficients) <= _TWO
+        bits = mask_bits(mask, self.n)
+        return sum((c for c, b in zip(self.coefficients, bits) if b), Fraction(0))
 
     def check_admissible(self) -> None:
         for i, c in enumerate(self.coefficients, start=1):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import AssignmentMask, PartialBooleanFn, bit_of, mask_to_string
+from .core import AssignmentMask, PartialBooleanFn, mask_to_string, sign_vector
 from .errors import ArityMismatchError, DegenerateSpanError, SchemaError
 from .feasibility import WeightVector
 
@@ -48,8 +48,7 @@ def apply_oracle(state: np.ndarray, x: AssignmentMask, n: int | None = None) -> 
         raise ArityMismatchError(f"state has {len(state)} amplitudes, expected {n + 1}")
     if not 0 <= x < 1 << n:
         raise ArityMismatchError(f"mask {x} out of range for arity {n}")
-    signs = np.array([1.0] + [-1.0 if bit_of(x, i, n) else 1.0 for i in range(1, n + 1)])
-    return state * signs
+    return state * np.array(sign_vector(x, n), dtype=float)
 
 
 def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exact1q.cli import _workers, build_parser, main
+from exact1q.cli import build_parser, main
 from exact1q.jsonio import (
     function_from_dict,
     function_to_dict,
@@ -116,23 +116,18 @@ def test_enumerate_csv_deterministic(capsys, tmp_path):
     assert len(lines) == 1 + 127
 
 
-def test_enumerate_workers_match_single(tmp_path, monkeypatch):
+def test_enumerate_workers_match_single(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["enumerate", "--n", "3", "--out", str(a)]) == 0
-    monkeypatch.setenv("EXACT1Q_WORKERS", "2")
-    assert main(["enumerate", "--n", "3", "--out", str(b)]) == 0
+    assert main(["enumerate", "--n", "3", "--workers", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_flag_beats_environment(monkeypatch):
-    monkeypatch.setenv("EXACT1Q_WORKERS", "3")
+def test_workers_default_is_one():
     parser = build_parser()
-    assert _workers(parser.parse_args(["enumerate", "--n", "3", "--workers", "1"])) == 1
-    assert _workers(parser.parse_args(["tables", "--n", "3", "--workers", "2"])) == 2
-    assert _workers(parser.parse_args(["enumerate", "--n", "3"])) == 3
-    # an explicit flag means the variable is never read, even when invalid
-    monkeypatch.setenv("EXACT1Q_WORKERS", "many")
-    assert _workers(parser.parse_args(["enumerate", "--n", "3", "--workers", "1"])) == 1
+    assert parser.parse_args(["enumerate", "--n", "3"]).workers == 1
+    assert parser.parse_args(["tables", "--n", "3"]).workers == 1
+    assert parser.parse_args(["tables", "--n", "3", "--workers", "2"]).workers == 2
 
 
 @pytest.mark.parametrize(
@@ -150,11 +145,15 @@ def test_workers_flag_beats_environment(monkeypatch):
             ["enumerate", "--n", "5", "--format", "json"],
             "3738e7c9a619c85296e190bcb6ec6479c3833aea836794a5ff0dbe3f1300113c",
         ),
+        (
+            ["tables", "--n", "3"],
+            "24c6175128e0ee37c6261a1b7357da8323b2d36ce4c6d11c8eb1d5e704472077",
+        ),
     ],
 )
 def test_output_bytes_pinned(tmp_path, argv, digest):
     # SHA-256 of the output of the exhaustive classifiers: every support
-    # decided at n=4, every square vertex system solved at n=5
+    # decided at n=3 and n=4, every square vertex system solved at n=5
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -172,6 +171,13 @@ def test_decide_output_bytes_pinned(tmp_path):
         assert main(["decide", str(fn), "--out", str(out)]) == 0
         digest.update(out.read_bytes())
     assert digest.hexdigest() == "bdab4814e9f36da3f1a71cadb392e9190fe3412371b5e2c08c8e2ad3ff52b01e"
+
+
+def test_public_names_resolve():
+    # a deleted name must not linger in the export list
+    import exact1q
+
+    assert [name for name in exact1q.__all__ if not hasattr(exact1q, name)] == []
 
 
 def test_import_does_not_load_numpy():

@@ -4,11 +4,11 @@ import pytest
 
 from exact1q.core import (
     PartialBooleanFn,
-    bit_of,
     diff_set,
     from_strings,
     hamming_weight,
     is_symmetric,
+    mask_bits,
     mask_to_string,
     permute_bits,
     sign_vector,
@@ -28,8 +28,8 @@ def test_bit_convention_msb_first():
     # "1000" at n=4 is mask 8: written position 1 is the most significant bit
     assert string_to_mask("1000", 4) == 8
     assert mask_to_string(8, 4) == "1000"
-    assert bit_of(0b1000, 1, 4) == 1
-    assert bit_of(0b1000, 4, 4) == 0
+    assert mask_bits(0b1000, 4) == (1, 0, 0, 0)
+    assert mask_bits(string_to_mask("0110", 4), 4) == (0, 1, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -53,13 +53,10 @@ def test_sign_vector(bits, n, expected):
 
 
 def test_sign_vector_entry_identity():
-    # entry i equals 1 - 2*bit_i for every input
+    # entry i equals 1 - 2*x_i for every input
     for n in (1, 2, 3, 4):
         for mask in range(1 << n):
-            sv = sign_vector(mask, n)
-            assert sv[0] == 1
-            for i in range(1, n + 1):
-                assert sv[i] == 1 - 2 * bit_of(mask, i, n)
+            assert sign_vector(mask, n) == (1,) + tuple(1 - 2 * b for b in mask_bits(mask, n))
 
 
 def test_diff_set_examples():

@@ -228,8 +228,8 @@ def _check_presolve(eq_rows, nvars):
 
 def _reduced_rows(n, support, fixed=()):
     free = [i for i in range(1, n + 1) if i not in fixed]
-    rows = {tuple(bit(m, i, n) for i in free): None for m in support}
-    return [(list(coeffs), F(1, 2)) for coeffs in rows], len(free)
+    # duplicate rows are kept, as the solver keeps them
+    return [([bit(m, i, n) for i in free], F(1, 2)) for m in support], len(free)
 
 
 def test_presolve_matches_oracle_n_le_3():

@@ -37,7 +37,7 @@ def test_represent_guarantees(records3):
             continue
         inst = ReducedFn(3, rec.support)
         p = represent(inst)
-        assert p.admissible()
+        p.check_admissible()
         assert all(p.evaluate(m) == 1 for m in rec.support)
         assert p.evaluate(0) == 0
 
