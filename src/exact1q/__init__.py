@@ -36,7 +36,6 @@ from .feasibility import (
     decide,
     decide_reduced,
     decide_with_fixed_zeros,
-    precheck_bound,
     verify_decision,
     verify_result,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "decide",
     "decide_reduced",
     "decide_with_fixed_zeros",
-    "precheck_bound",
     "verify_decision",
     "verify_result",
     "diff_set",

@@ -134,6 +134,16 @@ def _cmd_simulate(args) -> None:
     _emit(report.to_json_dict(), args.out)
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exact1q",
@@ -175,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify every reduced support at arity n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--workers", type=_worker_count, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="re-derive the bundled 3/4-bit catalog")
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--workers", type=_worker_count, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tables)
 

@@ -12,9 +12,16 @@ has non-negative coefficients on every variable and a strictly negative
 constant). Both answers re-verify by plain arithmetic in `verify_result`,
 which shares no code with the solver.
 
+`decide` answers an arbitrary promise function through its reduced form
+and lifts the answer to the unreduced system over z_0..z_n (one
+sign-vector row per XOR difference); a certificate's multipliers
+(mu_d..., mu_le) lift to (mu_le + sum(mu_d)/2, -mu_d/2 ...). The
+unreduced system is only checked, by `verify_decision`, never solved.
+
 Arithmetic is exact and never uses floats: the presolve eliminates in
-integers (`intlinalg`, fraction-free), the simplex and the verifiers work
-in `fractions.Fraction`.
+integers (`intlinalg`, fraction-free), the simplex and `verify_result`
+work in `fractions.Fraction`, and `verify_decision` scales the answer to
+ints.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import PartialBooleanFn, diff_set, mask_bits, sign_vector
+from .core import PartialBooleanFn, diff_set, mask_bits
 from .errors import InternalError, SchemaError
 from .intlinalg import echelon, reduce_pivot_rows, solve_square
-from .reduction import ReducedFn
+from .reduction import ReducedFn, reduce
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -57,8 +64,10 @@ class FarkasWitness:
     """One multiplier per row of the standardized system, in row order.
 
     For a reduced system the rows are the support equations in sorted mask
-    order followed by the sum row; for the unreduced system they are the
-    normalization row followed by the difference-set rows.
+    order followed by the sum row; for the unreduced system of `decide`
+    they are the normalization row followed by the difference-set rows,
+    lifted from the reduced multipliers (mu_d..., mu_le) as
+    (mu_le + sum(mu_d)/2, -mu_d/2 ...).
     """
 
     multipliers: tuple[Fraction, ...]
@@ -292,33 +301,25 @@ def decide_with_fixed_zeros(g: ReducedFn, fixed: Iterable[int]) -> FeasibilityRe
 def decide(f: PartialBooleanFn) -> FeasibilityResult:
     """Decide an arbitrary non-constant promise function.
 
-    Works on the unreduced system over z_0..z_n (normalization row plus
-    one sign-vector orthogonality row per XOR difference), so it is an
-    independent route from `decide_reduced` of the reduced form; the two
-    must agree by the reduction law.
+    By the reduction law this is `decide_reduced(reduce(f))`, answered in
+    the format of the unreduced system over z_0..z_n: the normalization
+    row sum(z_j) == 1 followed by one sign-vector row per XOR difference
+    d, in sorted order. A witness is the reduced one, with z_0 = 1 - sum(z).
+    A certificate is lifted: each difference row is the normalization row
+    minus twice its reduced row, so reduced multipliers (mu_d..., mu_le)
+    become (mu_le + sum(mu_d)/2, -mu_d/2 ...). That keeps the reduced
+    combined constant (< 0) and the reduced coefficient on every z_i, with
+    mu_le on z_0 (all >= 0). The unreduced system is only checked, by
+    `verify_decision`, never solved.
     """
-    diffs = diff_set(f)  # raises ConstantFunctionError when needed
-    n = f.n
-    # the rows are distinct: sign vectors of distinct nonzero masks, and
-    # the normalization row is the only one with a nonzero constant
-    rows = [([1] * (n + 1), _ONE)] + [(list(sign_vector(d, n)), _ZERO) for d in diffs]
-    feasible, x, mult = _solve_nonneg(rows, [], n + 1)
-    if feasible:
-        witness = WeightVector(tuple(x[1:]))
-        if witness.z0 != x[0]:
-            raise InternalError("normalization row violated in returned solution")
-        result = FeasibilityResult(True, witness=witness)
-    else:
-        result = FeasibilityResult(False, certificate=FarkasWitness(tuple(mult)))
+    result = decide_reduced(reduce(f))  # raises ConstantFunctionError when needed
+    if not result.feasible:
+        *mu_d, mu_le = result.certificate.multipliers
+        lifted = [mu_le + sum(mu_d, _ZERO) / 2] + [-m / 2 for m in mu_d]
+        result = FeasibilityResult(False, certificate=FarkasWitness(tuple(lifted)))
     if not verify_decision(f, result):
         raise InternalError("solver self-check failed for unreduced system")
     return result
-
-
-def precheck_bound(f: PartialBooleanFn) -> bool:
-    """Cheap necessary condition: a difference set larger than 2**(n-1)
-    already rules out a single-query algorithm, no solve needed."""
-    return len(diff_set(f)) <= 1 << (f.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,37 +380,49 @@ def verify_result(g: ReducedFn, result: FeasibilityResult, fixed: Iterable[int] 
     return _verify_reduced(g.n, g.support, result, frozenset(fixed))
 
 
+def _scaled(values):
+    """`values` times the lcm of their denominators, as ints, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def verify_decision(f: PartialBooleanFn, result: FeasibilityResult) -> bool:
-    """Re-check an unreduced-system answer from `decide`."""
+    """Re-check an answer from `decide` against the unreduced system.
+
+    The system is the normalization row sum(z_j) == 1 over z_0..z_n and
+    one row sign_vector(d) . z == 0 per XOR difference d, in sorted order.
+    The answer is scaled to integers by the lcm of its denominators and
+    checked in int arithmetic: a witness on every row and sign, a
+    certificate on its combined constant (< 0) and every column sum
+    (>= 0). Returns False on any violation.
+    """
     n = f.n
-    signs = [sign_vector(d, n) for d in diff_set(f)]
+    diffs = diff_set(f)
     if result.feasible:
         w = result.witness
-        if w is None or len(w.z) != n:
+        if w is None or result.certificate is not None or len(w.z) != n:
             return False
-        full = (w.z0,) + w.z
+        z, scale = _scaled(w.z)
+        full = [scale - sum(z)] + z  # z_0 = 1 - sum(z), so the normalization row holds
         if any(v < 0 for v in full):
             return False
-        if sum(full, _ZERO) != 1:
-            return False
-        for sv in signs:
-            if sum(s * v for s, v in zip(sv, full)) != 0:
+        for d in diffs:
+            row = full[0] + sum(-v if b else v for v, b in zip(z, mask_bits(d, n)))
+            if row != 0:
                 return False
         return True
 
     cert = result.certificate
-    if cert is None:
+    if cert is None or result.witness is not None:
         return False
-    mult = cert.multipliers
-    if len(mult) != len(signs) + 1:
+    if len(cert.multipliers) != len(diffs) + 1:
         return False
-    combined_rhs = mult[0] * _ONE
-    if combined_rhs >= 0:
+    mult, _ = _scaled(cert.multipliers)
+    if mult[0] >= 0:  # the combined constant: only the normalization row has one
         return False
-    for col in range(n + 1):
-        coef = mult[0]
-        for mu, sv in zip(mult[1:], signs):
-            coef += mu * sv[col]
-        if coef < 0:
-            return False
-    return True
+    cols = [mult[0]] * (n + 1)
+    for m, d in zip(mult[1:], diffs):
+        cols[0] += m
+        for i, b in enumerate(mask_bits(d, n), start=1):
+            cols[i] += -m if b else m
+    return all(c >= 0 for c in cols)

@@ -2,13 +2,17 @@
 
 Everything here is deliberately dumb and shares no code with the solver:
 feasibility by enumerating basic solutions of the equality system over
-every column subset, arrangement vertices by solving every square system,
-the presolve by rational Gauss-Jordan elimination that carries every
-row's combination of the input rows, difference sets by looping over
-input pairs, and group-weight supports by scanning all masks.
+every column subset (for the reduced system, and for the unreduced one
+over z_0..z_n that `decide` answers), a `decide` answer re-checked by
+multiplying out every Fraction against every sign, arrangement vertices
+by solving every square system, the presolve by rational Gauss-Jordan
+elimination that carries every row's combination of the input rows,
+difference sets by looping over input pairs, and group-weight supports by
+scanning all masks.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 HALF = Fraction(1, 2)
@@ -126,6 +130,72 @@ def bf_feasible(n: int, support) -> bool:
             ):
                 return True
     return False
+
+
+def _sign_rows(n: int, ones, zeros):
+    """Sign vector over z_0..z_n of every XOR difference d, in sorted order:
+    +1 on z_0, and (-1)**x_i on z_i."""
+    return tuple(
+        (1,) + tuple(1 - 2 * bit(d, i, n) for i in range(1, n + 1))
+        for d in bf_diff_set(ones, zeros)
+    )
+
+
+def bf_decide_unreduced(f) -> bool:
+    """Oracle for the unreduced system of a promise function: z_0..z_n >= 0
+    with sum(z) == 1 and sign_vector(d) . z == 0 for every XOR difference d.
+
+    The solution set is bounded, so it is nonempty iff it has a basic
+    solution; every column subset is tried, all other columns at 0.
+    """
+    return _bf_unreduced(f.n, _sign_rows(f.n, f.ones, f.zeros))
+
+
+@lru_cache(maxsize=None)
+def _bf_unreduced(n, signs):
+    rows = [([1] * (n + 1), 1)] + [(sv, 0) for sv in signs]
+    for subset in range(1, 1 << (n + 1)):
+        cols = [j for j in range(n + 1) if subset >> j & 1]
+        sol = _solve_exact([([coeffs[c] for c in cols], rhs) for coeffs, rhs in rows], cols)
+        if sol is not None and all(v >= 0 for v in sol):
+            return True
+    return False
+
+
+def bf_verify_decision(f, result) -> bool:
+    """Re-check a `decide` answer against the unreduced system in Fractions,
+    each multiplier or weight times each +-1 sign."""
+    n = f.n
+    signs = _sign_rows(n, f.ones, f.zeros)
+    if result.feasible:
+        w = result.witness
+        if w is None or len(w.z) != n:
+            return False
+        full = (w.z0,) + w.z
+        if any(v < 0 for v in full):
+            return False
+        if sum(full, Fraction(0)) != 1:
+            return False
+        for sv in signs:
+            if sum(s * v for s, v in zip(sv, full)) != 0:
+                return False
+        return True
+
+    cert = result.certificate
+    if cert is None:
+        return False
+    mult = cert.multipliers
+    if len(mult) != len(signs) + 1:
+        return False
+    if mult[0] >= 0:  # combined constant: the normalization row's 1 only
+        return False
+    for col in range(n + 1):
+        coef = mult[0]
+        for mu, sv in zip(mult[1:], signs):
+            coef += mu * sv[col]
+        if coef < 0:
+            return False
+    return True
 
 
 def bf_unique_solution(n: int, support):

@@ -130,6 +130,16 @@ def test_workers_default_is_one():
     assert parser.parse_args(["tables", "--n", "3", "--workers", "2"]).workers == 2
 
 
+@pytest.mark.parametrize("command", ["enumerate", "tables"])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_workers_below_one_is_exit_2(capsys, command, count):
+    # rejected while parsing, before any worker could start
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--workers", count])
+    assert exc.value.code == 2
+    assert f"got {count}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -162,15 +172,20 @@ def test_output_bytes_pinned(tmp_path, argv, digest):
 def test_decide_output_bytes_pinned(tmp_path):
     # SHA-256 of the `decide` JSON for the seeded n = 10..12 functions
     # (feasible, infeasible by the equalities alone, infeasible by the
-    # sign constraints) and the middle dj_family(12) level (220 rows)
+    # sign constraints) and the middle dj_family(12) level (220 rows). The
+    # feasible-only digest pins every witness; the full one also pins each
+    # lifted certificate.
     family = dj_family(12)
-    digest = hashlib.sha256()
+    digest, feasible_digest = hashlib.sha256(), hashlib.sha256()
     for f in seeded_functions((10, 11, 12)) + [family[len(family) // 2]]:
         fn, out = tmp_path / "fn.json", tmp_path / "out.json"
         fn.write_text(json.dumps(function_to_dict(f)))
         assert main(["decide", str(fn), "--out", str(out)]) == 0
         digest.update(out.read_bytes())
-    assert digest.hexdigest() == "bdab4814e9f36da3f1a71cadb392e9190fe3412371b5e2c08c8e2ad3ff52b01e"
+        if json.loads(out.read_text())["feasible"]:
+            feasible_digest.update(out.read_bytes())
+    assert feasible_digest.hexdigest() == "83350b07fbfd5aa4c6717666efc0a7b047f849fa5a82903374a643699238ff74"
+    assert digest.hexdigest() == "62e343d8fdf02aae10675cdd9a34436b03bce22c5dc390851e572621317a5d13"
 
 
 def test_public_names_resolve():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction as F
@@ -12,16 +13,17 @@ from exact1q.feasibility import (
     FarkasWitness,
     FeasibilityResult,
     WeightVector,
+    _decide_cached,
     decide,
     decide_reduced,
     decide_with_fixed_zeros,
-    precheck_bound,
     verify_decision,
     verify_result,
 )
+from exact1q.poly import represent
 from exact1q.reduction import ReducedFn, reduce
 
-from bruteforce import bf_feasible, bf_presolve, bit
+from bruteforce import bf_decide_unreduced, bf_feasible, bf_presolve, bf_verify_decision, bit
 from seeded import seeded_functions
 
 
@@ -97,7 +99,7 @@ def test_decide_rejects_constant():
         decide(PartialBooleanFn(2, ones=[0, 3]))
 
 
-def test_decide_agrees_with_reduced_route_n3():
+def test_decide_agrees_with_unreduced_oracle_n3():
     rnd = random.Random(7)
     for _ in range(300):
         ones_bits = rnd.randrange(1, 256)
@@ -109,26 +111,65 @@ def test_decide_agrees_with_reduced_route_n3():
             ones=[m for m in range(8) if ones_bits >> m & 1],
             zeros=[m for m in range(8) if zeros_bits >> m & 1],
         )
-        assert decide(f).feasible == decide_reduced(reduce(f)).feasible
+        assert decide(f).feasible == bf_decide_unreduced(f)
 
 
 def test_precheck_bound():
+    # a feasible function has at most 2**(n-1) differences
     ones = ["0011", "0101", "0110", "1001", "1010", "1100"]
     f = from_strings(4, ones=ones, zeros=["0000", "1111"])
-    assert precheck_bound(f)  # 6 differences <= 8
+    assert len(diff_set(f)) <= 1 << (4 - 1)  # 6 differences <= 8
 
     f2 = from_strings(2, ones=["01", "10"], zeros=["00", "11"])
-    assert precheck_bound(f2)  # 2 <= 2
+    assert len(diff_set(f2)) <= 1 << (2 - 1)  # 2 <= 2
 
     f3 = from_strings(2, ones=["01", "10", "11"], zeros=["00"])
-    assert not precheck_bound(f3)  # 3 > 2
+    assert not len(diff_set(f3)) <= 1 << (2 - 1)  # 3 > 2
 
 
 def test_precheck_necessary_for_feasibility_n3(records3):
     for rec in records3:
         if rec.feasible:
             f = PartialBooleanFn(3, ones=rec.support, zeros=(0,))
-            assert precheck_bound(f)
+            assert len(diff_set(f)) <= 1 << (3 - 1)
+
+
+def _mutants(result):
+    """Corrupted copies of a `decide` answer: a witness weight shifted by
+    1/1000, or a certificate with nu_0 negated or one multiplier tripled."""
+    if result.feasible:
+        z = list(result.witness.z)
+        i = next(i for i, v in enumerate(z) if v > 0)
+        z[i] -= F(1, 1000)
+        return [FeasibilityResult(True, witness=WeightVector(tuple(z)))]
+    mult = list(result.certificate.multipliers)
+    negated = [-mult[0]] + mult[1:]
+    k = next(k for k in range(1, len(mult)) if mult[k] != 0)
+    tripled = mult[:k] + [3 * mult[k]] + mult[k + 1:]
+    return [FeasibilityResult(False, certificate=FarkasWitness(tuple(m))) for m in (negated, tripled)]
+
+
+def test_verify_decision_matches_fraction_oracle():
+    # the integer verifier agrees with the Fraction one on every answer and
+    # every mutant; the answer is the reduced one, witness unchanged
+    mutants = 0
+    for f in seeded_functions((10, 11, 12, 13)):
+        res = decide(f)
+        assert verify_decision(f, res) and bf_verify_decision(f, res)
+        assert res.witness == decide_reduced(reduce(f)).witness
+        for bad in _mutants(res):
+            assert not verify_decision(f, bad)
+            assert not bf_verify_decision(f, bad)
+            mutants += 1
+    assert mutants == 40
+
+
+def test_decide_then_represent_solves_one_lp():
+    f = seeded_functions((10,))[0]
+    _decide_cached.cache_clear()
+    assert decide(f).feasible
+    represent(reduce(f))
+    assert _decide_cached.cache_info().misses == 1
 
 
 def test_fixed_zero_probes():
@@ -265,3 +306,11 @@ def test_presolve_matches_oracle_unreduced_n10_13():
         rows = [([1] * (n + 1), F(1))] + [(list(sign_vector(d, n)), F(0)) for d in diff_set(f)]
         seen.add(_check_presolve(rows, n + 1))
     assert seen == {"infeasible", "reduced"}
+
+
+def test_presolve_matches_oracle_reduced_n10_13():
+    statuses = collections.Counter(
+        _check_presolve(*_reduced_rows(f.n, diff_set(f)))
+        for f in seeded_functions((10, 11, 12, 13))
+    )
+    assert statuses == {"reduced": 17, "infeasible": 11}
