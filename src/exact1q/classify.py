@@ -26,14 +26,14 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import catalog
 from .core import (
-    PartialBooleanFn,
+    check_arity,
     hamming_weight,
-    is_symmetric,
     mask_bits,
     mask_to_string,
     permute_mask,
@@ -95,13 +95,35 @@ def _key_support(key: int, n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, 1 << n) if key >> (m - 1) & 1)
 
 
+@lru_cache(maxsize=None)
+def _level_keys(n: int) -> tuple[int, ...]:
+    """Support key of each Hamming level: entry c - 1 holds every mask of
+    weight c, for c = 1..n."""
+    keys = [0] * n
+    for m in range(1, 1 << n):
+        keys[m.bit_count() - 1] |= 1 << (m - 1)
+    return tuple(keys)
+
+
+def _key_symmetric(n: int, key: int) -> bool:
+    """The support is a union of whole Hamming levels: with the 0-input 0,
+    which is all of level 0, that is `core.is_symmetric`."""
+    return all(key & level in (0, level) for level in _level_keys(n))
+
+
+def _key_dj_computable(n: int, key: int) -> bool:
+    """The nonempty support sits inside one level c >= ceil(n/2)."""
+    return key != 0 and any(key & level == key for level in _level_keys(n)[(n - 1) // 2:])
+
+
 def is_dj_computable(n: int, support: Sequence[int]) -> bool:
-    """Support confined to one Hamming level c with ceil(n/2) <= c <= n."""
-    weights = {hamming_weight(m) for m in support}
-    if len(weights) != 1:
-        return False
-    c = weights.pop()
-    return (n + 1) // 2 <= c <= n
+    """Support (nonzero n-bit masks) confined to one Hamming level c with
+    ceil(n/2) <= c <= n.
+
+    The classifier's flag, meant for its arities: the level keys it tests
+    against are 2**n-bit ints, built once per n.
+    """
+    return _key_dj_computable(n, _support_key(support))
 
 
 def removable_bits(g: ReducedFn, candidates: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -123,30 +145,28 @@ def removable_bits(g: ReducedFn, candidates: Iterable[int] | None = None) -> tup
 
 
 def _record(
-    n: int, support: tuple[int, ...], witness: WeightVector | None, removable: tuple[int, ...]
+    n: int, key: int, witness: WeightVector | None, removable: tuple[int, ...]
 ) -> ClassificationRecord:
-    fn = PartialBooleanFn(n, ones=support, zeros=(0,))
     return ClassificationRecord(
         n=n,
-        support=support,
+        support=_key_support(key, n),
         feasible=witness is not None,
         witness=witness,
-        symmetric=is_symmetric(fn),
-        dj_computable=is_dj_computable(n, support),
+        symmetric=_key_symmetric(n, key),
+        dj_computable=_key_dj_computable(n, key),
         removable_bits=removable,
     )
 
 
 def _classify_support(
-    n: int, support: tuple[int, ...], candidates: Iterable[int] | None = None
+    n: int, key: int, candidates: Iterable[int] | None = None
 ) -> ClassificationRecord:
-    g = ReducedFn(n, support)
-    return _record(n, support, decide_reduced(g).witness, removable_bits(g, candidates))
+    g = ReducedFn(n, _key_support(key, n))
+    return _record(n, key, decide_reduced(g).witness, removable_bits(g, candidates))
 
 
 def _classify_candidate(args: tuple[int, int, tuple[int, ...]]) -> ClassificationRecord:
-    n, key, candidates = args
-    return _classify_support(n, _key_support(key, n), candidates)
+    return _classify_support(*args)
 
 
 def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
@@ -203,7 +223,7 @@ def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
     parents = _inclusion(key for key in removable if key)
     out = []
     for key in range(1, 1 << n_masks):
-        rec = records[key] if key in records else _record(n, _key_support(key, n), None, ())
+        rec = records[key] if key in records else _record(n, key, None, ())
         if key in parents:
             parent = parents[key]
             included_by = None if parent is None else _key_support(parent, n)
@@ -234,7 +254,7 @@ def enumerate_reduced(n: int, workers: int = 1) -> Iterator[ClassificationRecord
     n <= 4 streams every support; n = 5 streams only the maximal feasible
     supports (witness-first mode).
     """
-    if n > VERTEX_MODE_MAX:
+    if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     if n <= FULL_MODE_MAX:
         yield from classify_all(n, workers=workers)
@@ -344,8 +364,7 @@ def _vertex_mode_records(n: int) -> list[ClassificationRecord]:
     maximal = sorted(key for key, parent in parents.items() if parent is None)
     records = []
     for key in maximal:
-        support = _key_support(key, n)
-        rec = _classify_support(n, support)
+        rec = _classify_support(n, key)
         if not rec.feasible:
             raise InternalError("vertex-mode support must be feasible")
         records.append(replace(rec, maximal=True))

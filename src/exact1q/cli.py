@@ -13,7 +13,7 @@ import sys
 from .classify import enumerate_reduced, reproduce_tables
 from .construct import construct, dj_family, level_solutions, profile
 from .core import mask_to_string
-from .errors import Exact1qError, InternalError
+from .errors import Exact1qError, InternalError, SchemaError
 from .feasibility import decide
 from .jsonio import (
     format_rational,
@@ -67,8 +67,15 @@ def _cmd_polyfn(args) -> None:
     _emit(classes.as_bitstrings(), args.out)
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise SchemaError(f"bad integer list {text!r}: expected e.g. 0,2,6") from None
+
+
 def _cmd_construct(args) -> None:
-    boundaries = [int(k) for k in args.k.split(",")]
+    boundaries = _int_list(args.k)
     values = [parse_rational(a) for a in args.a.split(",")]
     prof = profile(boundaries, values)
     fn = construct(prof)

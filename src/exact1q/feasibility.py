@@ -18,10 +18,13 @@ sign-vector row per XOR difference); a certificate's multipliers
 (mu_d..., mu_le) lift to (mu_le + sum(mu_d)/2, -mu_d/2 ...). The
 unreduced system is only checked, by `verify_decision`, never solved.
 
-Arithmetic is exact and never uses floats: the presolve eliminates in
-integers (`intlinalg`, fraction-free), the simplex and `verify_result`
-work in `fractions.Fraction`, and `verify_decision` scales the answer to
-ints.
+Arithmetic is exact and never uses floats, and the solver's inner loops
+hold only ints: the presolve eliminates fraction-free (`intlinalg`), and
+the simplex keeps every tableau row as an integer vector up to a positive
+factor (an integer-preserving tableau, cf. Azulay & Pique 2001, ACM TOMS
+27), with the cost row over one positive denominator. `Fraction`s are
+formed only for the answer. `verify_result` and `verify_decision` scale
+the answer to ints by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class FeasibilityResult:
 
 
 # ---------------------------------------------------------------------------
-# Solver core: phase-1 simplex with an exact fraction-free presolve.
+# Solver core: phase-1 simplex on an integer tableau after a fraction-free
+# presolve.
 # ---------------------------------------------------------------------------
 
 def _presolve(eq_rows, nvars):
@@ -90,14 +94,14 @@ def _presolve(eq_rows, nvars):
     Each row (integer coeffs, rational rhs) is scaled by its rhs
     denominator and eliminated fraction-free (`intlinalg.echelon`). Returns
     ('infeasible', multipliers) when the equalities alone are
-    contradictory, else ('reduced', (rows, pivots)): rows are the reduced
-    row echelon form of the pivot rows as (coeffs, rhs) Fractions, one per
-    pivot (row index, column) in column order.
+    contradictory, else ('reduced', (rows, pivots)): one integer row
+    [coeffs | rhs] per pivot (row index, column), in column order, equal
+    to |det| times the matching row of the reduced row echelon form. Its
+    entry on its own pivot column is |det| > 0, the factor to divide by.
     """
     work = []
     for coeffs, rhs in eq_rows:
-        rhs = Fraction(rhs)
-        scale = rhs.denominator
+        scale = rhs.denominator  # an int or a Fraction
         work.append([scale * v for v in coeffs] + [rhs.numerator])
     pivots, det = echelon(work, nvars)
 
@@ -112,10 +116,9 @@ def _presolve(eq_rows, nvars):
             constant = sum((m * rhs for m, (_, rhs) in zip(comb, eq_rows)), _ZERO)
             return "infeasible", [-m / constant for m in comb]
 
-    rows = [
-        ([Fraction(v, det) for v in out[:-1]], Fraction(out[-1], det))
-        for out in reduce_pivot_rows(work, pivots, det)
-    ]
+    rows = reduce_pivot_rows(work, pivots, det)
+    if det < 0:
+        rows = [[-v for v in row] for row in rows]
     return "reduced", (rows, pivots)
 
 
@@ -146,13 +149,20 @@ def _eq_multipliers(eq_rows, pivots, reduced, mu_red):
     combination is the one of the pivot rows that equals mu_red, with each
     row's sign flip folded in, on the pivot columns.
     """
-    signed = [-m if rhs < 0 else m for m, (_, rhs) in zip(mu_red, reduced)]
+    signed = [-m if row[-1] < 0 else m for m, row in zip(mu_red, reduced)]
     return _pivot_combination(eq_rows, pivots, signed)
 
 
+def _primitive(row):
+    """`row` divided by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _solve_nonneg(eq_rows, le_rows, nvars):
-    """Feasibility of {A_eq x = b_eq, A_le x <= b_le, x >= 0} over Fractions,
-    for integer A_eq and rational b_eq.
+    """Feasibility of {A_eq x = b_eq, A_le x <= b_le, x >= 0} for integer
+    A_eq, A_le and int or Fraction b_eq, b_le >= 0, by a phase-1 simplex on
+    an integer tableau.
 
     Returns (True, x, None) or (False, None, multipliers) where the
     multipliers are per input row, ordered eq rows then le rows, oriented
@@ -167,41 +177,45 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         return False, None, list(presolved) + [_ZERO] * len(le_rows)
     reduced, pivots = presolved
 
-    # Normalize reduced equality rows to rhs >= 0; the multipliers of an
-    # infeasible answer fold the sign back in.
-    red = [
-        ([-v for v in coeffs], -rhs) if rhs < 0 else (list(coeffs), rhs)
-        for coeffs, rhs in reduced
-    ]
-
-    n_eq = len(red)
+    # Every tableau row is an integer vector known only up to a positive
+    # factor: the rational row is the integer one divided by its entry on
+    # its basic column. Slacks start basic on the le rows, artificials on
+    # the reduced equality rows, each row negated where needed so that its
+    # rhs is >= 0; the multipliers of an infeasible answer fold the sign
+    # back in.
+    n_eq = len(reduced)
     n_le = len(le_rows)
     n_cols = nvars + n_le + n_eq  # x, slacks, artificials
     rows = []
     basis = []
     for k, (coeffs, rhs) in enumerate(le_rows):
-        row = [Fraction(v) for v in coeffs] + [_ZERO] * (n_le + n_eq) + [rhs]
-        row[nvars + k] = _ONE
-        rows.append(row)
+        den = rhs.denominator
+        row = [den * v for v in coeffs] + [0] * (n_le + n_eq) + [rhs.numerator]
+        row[nvars + k] = den
+        rows.append(_primitive(row))
         basis.append(nvars + k)
-    for j, (coeffs, rhs) in enumerate(red):
-        row = list(coeffs) + [_ZERO] * (n_le + n_eq) + [rhs]
-        row[nvars + n_le + j] = _ONE
-        rows.append(row)
+    # The phase-1 cost row (minimize the artificial sum) has its basic
+    # columns priced out and one positive denominator: the rational cost
+    # is cost / cden, and cost[-1] / cden is -objective. Every reduced row
+    # comes with the factor |det|, so that is the first denominator.
+    cost = [0] * (n_cols + 1)
+    cden = 1
+    for j, (red, (_, c)) in enumerate(zip(reduced, pivots)):
+        cden = red[c]
+        if red[-1] < 0:
+            red = [-v for v in red]
+        row = red[:-1] + [0] * (n_le + n_eq) + [red[-1]]
+        row[nvars + n_le + j] = cden
+        cost = [a - b for a, b in zip(cost, row)]
+        rows.append(_primitive(row))
         basis.append(nvars + n_le + j)
-
-    # Phase-1 cost row (minimize the artificial sum), with basic columns
-    # already priced out; cost[-1] is -objective.
-    cost = [_ZERO] * (n_cols + 1)
-    for j in range(n_le, n_le + n_eq):
-        row = rows[j]
-        for c in range(n_cols + 1):
-            cost[c] -= row[c]
     for j in range(nvars + n_le, n_cols):
-        cost[j] += _ONE
+        cost[j] += cden
 
     # Bland's rule on a fixed column order guarantees termination and a
-    # reproducible basic solution.
+    # reproducible basic solution. Ratios are compared cross-multiplied,
+    # where the row factors cancel, so the rational tableau's minimum ratio
+    # and basic-index tie-break pick the same leaving row.
     while True:
         enter = -1
         for j in range(n_cols):
@@ -211,43 +225,47 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         if enter < 0:
             break
         leave = -1
-        best = None
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+                if leave < 0:
+                    leave, num, den = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, row[-1], a
         if leave < 0:
             raise InternalError("phase-1 objective is bounded; no ratio row is a bug")
+        # The pivot row needs no update: with its factor now pc it is
+        # already the rational row divided by pc. Every other row r becomes
+        # pc * row - row[enter] * prow, which is its rational update times
+        # pc times its factor, then is divided by the gcd of its entries.
         prow = rows[leave]
         pc = prow[enter]
-        if pc != 1:
-            rows[leave] = prow = [v / pc for v in prow]
         for r, row in enumerate(rows):
-            if r != leave and row[enter] != 0:
-                f = row[enter]
-                rows[r] = [a - f * b for a, b in zip(row, prow)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, prow)]
+            f = row[enter]
+            if f and r != leave:
+                rows[r] = _primitive([pc * a - f * b for a, b in zip(row, prow)])
+        f = cost[enter]
+        cost = [pc * a - f * b for a, b in zip(cost, prow)]
+        cden *= pc
+        g = math.gcd(cden, *cost)
+        if g > 1:
+            cost = [v // g for v in cost]
+            cden //= g
         basis[leave] = enter
 
-    objective = -cost[-1]
-    if objective == 0:
+    if cost[-1] == 0:
         x = [_ZERO] * nvars
-        for r, b in enumerate(basis):
+        for row, b in zip(rows, basis):
             if b < nvars:
-                x[b] = rows[r][-1]
+                x[b] = Fraction(row[-1], row[b])
         return True, x, None
 
     # Infeasible: recover row multipliers from the reduced costs of the
     # initial basis columns, then push them back through the presolve.
-    mu_le = [cost[nvars + k] for k in range(n_le)]
-    mu_red = [cost[nvars + n_le + j] - _ONE for j in range(n_eq)]
+    mu_le = [Fraction(cost[nvars + k], cden) for k in range(n_le)]
+    mu_red = [Fraction(cost[nvars + n_le + j] - cden, cden) for j in range(n_eq)]
     return False, None, _eq_multipliers(eq_rows, pivots, reduced, mu_red) + mu_le
 
 
@@ -327,47 +345,36 @@ def decide(f: PartialBooleanFn) -> FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 def _verify_reduced(n, support, result, fixed):
+    """`verify_result` in ints: the answer is scaled by the lcm of its
+    denominators (`_scaled`), so each 1/2 right-hand side becomes a
+    comparison with twice a row sum."""
     if result.feasible:
         w = result.witness
         if w is None or result.certificate is not None or len(w.z) != n:
             return False
-        if any(v < 0 for v in w.z):
-            return False
-        if any(w.z[i - 1] != 0 for i in fixed):
-            return False
-        if sum(w.z, _ZERO) > 1:
+        z, scale = _scaled(w.z)
+        if any(v < 0 for v in z) or any(z[i - 1] for i in fixed) or sum(z) > scale:
             return False
         for mask in support:
-            total = sum(v for v, b in zip(w.z, mask_bits(mask, n)) if b)
-            if total != _HALF:
+            if 2 * sum(v for v, b in zip(z, mask_bits(mask, n)) if b) != scale:
                 return False
         return True
 
     cert = result.certificate
     if cert is None or result.witness is not None:
         return False
-    mult = cert.multipliers
-    if len(mult) != len(support) + 1:
+    if len(cert.multipliers) != len(support) + 1:
         return False
-    mu_le = mult[-1]
-    if mu_le < 0:
+    *mult, mu_le = _scaled(cert.multipliers)[0]
+    # combined constant mu_le + sum(mult) / 2, times 2
+    if mu_le < 0 or 2 * mu_le + sum(mult) >= 0:
         return False
-    combined_rhs = mu_le * _ONE
+    cols = [mu_le] * n
     for mu, mask in zip(mult, support):
-        combined_rhs += mu * _HALF
-    if combined_rhs >= 0:
-        return False
-    bits = [mask_bits(mask, n) for mask in support]
-    for i in range(1, n + 1):
-        if i in fixed:
-            continue
-        coef = mu_le
-        for mu, row in zip(mult, bits):
-            if row[i - 1]:
-                coef += mu
-        if coef < 0:
-            return False
-    return True
+        for i, b in enumerate(mask_bits(mask, n)):
+            if b:
+                cols[i] += mu
+    return all(c >= 0 for i, c in enumerate(cols, start=1) if i not in fixed)
 
 
 def verify_result(g: ReducedFn, result: FeasibilityResult, fixed: Iterable[int] = ()) -> bool:

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .core import PartialBooleanFn, check_arity, mask_to_string, string_to_mask
+from .core import MAX_ARITY, PartialBooleanFn, mask_to_string, string_to_mask
 from .errors import SchemaError
 from .feasibility import FeasibilityResult, WeightVector
 
@@ -19,9 +19,15 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    literal = text.strip() if isinstance(text, str) else ""
+    if not _RATIONAL_RE.match(literal):
         raise SchemaError(f"bad rational literal {text!r}: expected 'p' or 'p/q'")
-    return Fraction(text.strip())
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise SchemaError(f"bad rational literal {text!r}: zero denominator") from None
+    except ValueError as err:  # more digits than int() converts
+        raise SchemaError(f"bad rational literal: {err}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -48,9 +54,8 @@ def function_from_dict(data: Any) -> PartialBooleanFn:
     if missing:
         raise SchemaError(f"function JSON missing fields: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int):
-        raise SchemaError(f"'n' must be an integer, got {n!r}")
-    check_arity(n)
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_ARITY:
+        raise SchemaError(f"'n' must be an integer in 1..{MAX_ARITY}, got {n!r}")
     ones = _parse_mask_list(data["ones"], n, "ones")
     zeros = _parse_mask_list(data["zeros"], n, "zeros")
     return PartialBooleanFn(n, ones=ones, zeros=zeros)
@@ -68,7 +73,7 @@ def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, bytes not UTF-8, or an int past int()'s digit limit
             raise SchemaError(f"{path}: invalid JSON ({err})") from err
 
 

@@ -3,12 +3,14 @@
 Everything here is deliberately dumb and shares no code with the solver:
 feasibility by enumerating basic solutions of the equality system over
 every column subset (for the reduced system, and for the unreduced one
-over z_0..z_n that `decide` answers), a `decide` answer re-checked by
-multiplying out every Fraction against every sign, arrangement vertices
-by solving every square system, the presolve by rational Gauss-Jordan
-elimination that carries every row's combination of the input rows,
-difference sets by looping over input pairs, and group-weight supports by
-scanning all masks.
+over z_0..z_n that `decide` answers), answers re-checked in Fractions (a
+`decide` answer by multiplying out every weight or multiplier against
+every sign, a reduced-system answer against every support equation),
+arrangement vertices by solving every square system, the presolve by
+rational Gauss-Jordan elimination that carries every row's combination
+of the input rows, difference sets by looping over input pairs,
+group-weight supports by scanning all masks, and Hamming levels by
+counting bits.
 """
 
 from fractions import Fraction
@@ -198,6 +200,44 @@ def bf_verify_decision(f, result) -> bool:
     return True
 
 
+def bf_verify_reduced(n: int, support, result, fixed=()) -> bool:
+    """Re-check a reduced-system answer in Fractions: each support equation
+    summed to 1/2, the signs, the pinned bits and the sum bound for a
+    witness; for a certificate, mu_le >= 0, the combined constant < 0 and
+    each free column's coefficient >= 0."""
+    if result.feasible:
+        w = result.witness
+        if w is None or result.certificate is not None or len(w.z) != n:
+            return False
+        if any(v < 0 for v in w.z) or any(w.z[i - 1] != 0 for i in fixed):
+            return False
+        if sum(w.z, Fraction(0)) > 1:
+            return False
+        return all(
+            sum((w.z[i - 1] for i in range(1, n + 1) if bit(m, i, n)), Fraction(0)) == HALF
+            for m in support
+        )
+
+    cert = result.certificate
+    if cert is None or result.witness is not None:
+        return False
+    mult = cert.multipliers
+    if len(mult) != len(support) + 1:
+        return False
+    mu_le = mult[-1]
+    if mu_le < 0:
+        return False
+    if mu_le + sum((mu * HALF for mu in mult[:-1]), Fraction(0)) >= 0:
+        return False
+    for i in range(1, n + 1):
+        if i in fixed:
+            continue
+        coef = mu_le + sum((mu for mu, m in zip(mult, support) if bit(m, i, n)), Fraction(0))
+        if coef < 0:
+            return False
+    return True
+
+
 def bf_unique_solution(n: int, support):
     """The unique solution of the full equality system, if there is one.
 
@@ -245,6 +285,13 @@ def bf_symmetric(n: int, ones, zeros) -> bool:
             if (x in value) != (y in value):
                 return False
     return True
+
+
+def bf_dj_computable(n: int, support) -> bool:
+    """Every mask of the support on one Hamming level c with
+    ceil(n/2) <= c <= n, by counting the bits of each mask."""
+    levels = {bin(m).count("1") for m in support}
+    return len(levels) == 1 and (n + 1) // 2 <= min(levels) <= n
 
 
 def bf_group_ones(boundaries, values, n):

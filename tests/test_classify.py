@@ -85,6 +85,19 @@ def test_dj_flag():
     assert is_dj_computable(3, masks(3, "110", "011"))
 
 
+def test_record_flags_match_oracles(records3, records4):
+    # symmetric and dj_computable come from the support key; check them on
+    # every support with n <= 4 against the definition and a level scan
+    from bruteforce import bf_dj_computable, bf_symmetric
+
+    for n, records in ((1, classify_all(1)), (2, classify_all(2)), (3, records3), (4, records4)):
+        assert len(records) == (1 << ((1 << n) - 1)) - 1
+        for rec in records:
+            assert rec.symmetric == bf_symmetric(n, rec.support, (0,)), rec.support
+            assert rec.dj_computable == bf_dj_computable(n, rec.support), rec.support
+            assert is_dj_computable(n, rec.support) == rec.dj_computable
+
+
 def test_enumerate_matches_classify(records3):
     assert list(enumerate_reduced(3)) == records3
 

@@ -63,6 +63,33 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["polyfn", "--coeffs", "1/0"], None),
+        (["construct", "--k", "0,2", "--a", "1/0"], None),
+        (["construct", "--k", "a", "--a", "1/2"], None),
+        (["decide", "{file}"], b"\xff\xfe{}"),
+        (["enumerate", "--n", "-3"], None),
+        (["enumerate", "--n", "0"], None),
+        (["decide", "{file}"], b'{"n": true, "ones": ["1"], "zeros": ["0"]}'),
+        (["decide", "{file}"], b'{"n": ' + b"9" * 5000 + b', "ones": [], "zeros": []}'),
+    ],
+    ids=["zero-denominator-coeffs", "zero-denominator-a", "non-integer-k", "non-utf8-file",
+         "negative-arity", "zero-arity", "bool-arity", "int-past-digit-limit"],
+)
+def test_bad_user_input_is_exit_2(capsys, tmp_path, argv, content):
+    # one diagnostic line, no traceback, and nothing on stdout
+    if content is not None:
+        path = tmp_path / "fn.json"
+        path.write_bytes(content)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("exact1q: ") and err.count("\n") == 1
+
+
 def test_reduce_emits_schema(capsys, deutsch_file):
     code, out, _ = run(capsys, "reduce", deutsch_file)
     assert code == 0
@@ -227,7 +254,8 @@ def test_simulate_cli(capsys, deutsch_file, tmp_path):
 def test_rational_parsing():
     assert parse_rational("3/4") == parse_rational("6/8")
     assert str(parse_rational("-2")) == "-2"
-    for bad in ("0.5", "1e-3", "a/b", ""):
+    # a zero denominator, and more digits than int() converts
+    for bad in ("0.5", "1e-3", "a/b", "", "1/0", "1" * 5000):
         with pytest.raises(SchemaError):
             parse_rational(bad)
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from exact1q.feasibility import (
     FeasibilityResult,
     WeightVector,
     _decide_cached,
+    _verify_reduced,
     decide,
     decide_reduced,
     decide_with_fixed_zeros,
@@ -23,7 +25,14 @@ from exact1q.feasibility import (
 from exact1q.poly import represent
 from exact1q.reduction import ReducedFn, reduce
 
-from bruteforce import bf_decide_unreduced, bf_feasible, bf_presolve, bf_verify_decision, bit
+from bruteforce import (
+    bf_decide_unreduced,
+    bf_feasible,
+    bf_presolve,
+    bf_verify_decision,
+    bf_verify_reduced,
+    bit,
+)
 from seeded import seeded_functions
 
 
@@ -164,6 +173,41 @@ def test_verify_decision_matches_fraction_oracle():
     assert mutants == 40
 
 
+def _tampered(result):
+    """A reduced-system answer with one witness entry changed (the first
+    positive one lowered by 1/1000) or one multiplier negated (the first
+    nonzero one), and with one entry too many."""
+    if result.feasible:
+        z = list(result.witness.z)
+        i = next(i for i, v in enumerate(z) if v > 0)
+        changed = z[:i] + [z[i] - F(1, 1000)] + z[i + 1:]
+        return [FeasibilityResult(True, witness=WeightVector(tuple(v))) for v in (changed, z + [F(0)])]
+    mult = list(result.certificate.multipliers)
+    k = next(k for k, m in enumerate(mult) if m != 0)
+    negated = mult[:k] + [-mult[k]] + mult[k + 1:]
+    return [FeasibilityResult(False, certificate=FarkasWitness(tuple(m))) for m in (negated, mult + [F(0)])]
+
+
+def test_verify_reduced_matches_fraction_oracle(records4):
+    # the integer self-check and the Fraction oracle agree on every small
+    # answer and on every tampered copy of it
+    rejected = collections.Counter()
+    for n, support, fixed in _small_queries(records4):
+        res = _decide_cached(n, support, fixed)
+        assert _verify_reduced(n, support, res, fixed) and bf_verify_reduced(n, support, res, fixed)
+        for kind, bad in zip(("changed", "length"), _tampered(res)):
+            ok = _verify_reduced(n, support, bad, fixed)
+            assert ok == bf_verify_reduced(n, support, bad, fixed), (support, fixed, bad)
+            rejected[res.feasible, kind] += not ok
+    # every tampered copy is rejected: 7,904 feasible answers, 5,577 not
+    assert rejected == {
+        (True, "changed"): 7904,
+        (True, "length"): 7904,
+        (False, "changed"): 5577,
+        (False, "length"): 5577,
+    }
+
+
 def test_decide_then_represent_solves_one_lp():
     f = seeded_functions((10,))[0]
     _decide_cached.cache_clear()
@@ -259,7 +303,12 @@ def _check_presolve(eq_rows, nvars):
         return want[0]
     rows, pivots = got[1]
     assert [r for r, _ in pivots] == want[2]
-    assert rows == [(coeffs, rhs) for coeffs, rhs, _ in want[1]]
+    # an integer row over its entry on its own pivot column is the rational row
+    assert all(row[c] > 0 for row, (_, c) in zip(rows, pivots))
+    rational = [
+        ([F(v, row[c]) for v in row[:-1]], F(row[-1], row[c])) for row, (_, c) in zip(rows, pivots)
+    ]
+    assert rational == [(coeffs, rhs) for coeffs, rhs, _ in want[1]]
     for j, (_, rhs, comb) in enumerate(want[1]):
         unit = [F(int(i == j)) for i in range(len(rows))]
         sign = -1 if rhs < 0 else 1
@@ -284,9 +333,10 @@ def test_presolve_matches_oracle_n_le_3():
     assert seen == {"infeasible", "reduced"}
 
 
-def test_presolve_matches_oracle_records4(records4):
-    # every support the levelwise walk solves: the feasible ones and the
-    # infeasible ones whose immediate subsets are all feasible
+def _walk_solved(records4):
+    """Every n=4 support the levelwise walk solves, in support-key order:
+    the feasible ones and the infeasible ones whose immediate subsets are
+    all feasible."""
     feasible = {r.support for r in records4 if r.feasible}
     solved = [
         r.support
@@ -295,8 +345,40 @@ def test_presolve_matches_oracle_records4(records4):
         or all(r.support[:k] + r.support[k + 1:] in feasible for k in range(len(r.support)))
     ]
     assert len(solved) == 2487
-    for support in solved:
+    return solved
+
+
+def test_presolve_matches_oracle_records4(records4):
+    for support in _walk_solved(records4):
         _check_presolve(*_reduced_rows(4, support))
+
+
+def _small_queries(records4):
+    """(n, support, fixed) for each n <= 3 support with each fixed set, then
+    each n=4 support the walk solves with no bit or one bit fixed: 13,481."""
+    queries = [
+        (n, support, frozenset(fixed))
+        for n in (1, 2, 3)
+        for key in range(1, 1 << ((1 << n) - 1))
+        for support in [tuple(m for m in range(1, 1 << n) if key >> (m - 1) & 1)]
+        for size in range(n + 1)
+        for fixed in itertools.combinations(range(1, n + 1), size)
+    ]
+    queries += [
+        (4, support, frozenset(fixed))
+        for support in _walk_solved(records4)
+        for fixed in ((), (1,), (2,), (3,), (4,))
+    ]
+    assert len(queries) == 13481
+    return queries
+
+
+def test_small_answers_pinned(records4):
+    # SHA-256 over the repr of every small answer, certificates included
+    digest = hashlib.sha256()
+    for n, support, fixed in _small_queries(records4):
+        digest.update(repr(_decide_cached(n, support, fixed)).encode())
+    assert digest.hexdigest() == "e7f461003487e27565842a0a0c0931d023532555df97aa5be0e698b34ba42b81"
 
 
 def test_presolve_matches_oracle_unreduced_n10_13():

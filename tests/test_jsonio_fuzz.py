@@ -1,0 +1,54 @@
+"""Fuzzing the JSON and rational readers: whatever the input, the result
+is a value or a SchemaError, never another exception."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from exact1q.core import PartialBooleanFn
+from exact1q.errors import SchemaError
+from exact1q.jsonio import function_from_dict, parse_rational
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_bitstrings = st.text(alphabet="01", max_size=5) | st.text(max_size=5)
+_masks = st.lists(_bitstrings, max_size=6) | _json
+_functions = st.fixed_dictionaries(
+    {
+        "n": st.integers(-3, 30) | st.booleans() | st.floats() | st.text(max_size=3) | st.none(),
+        "ones": _masks,
+        "zeros": _masks,
+    }
+)
+_literals = (
+    st.text()
+    | st.from_regex(r"-?\d{1,6}(/\d{1,6})?", fullmatch=True)
+    | st.from_regex(r"\s*-?[0-9]{1,3}/0+\s*", fullmatch=True)
+    | st.integers()
+    | st.none()
+    | st.floats()
+)
+
+
+def _value_or_schema_error(fn, arg):
+    try:
+        return fn(arg)
+    except SchemaError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literals)
+def test_parse_rational_value_or_schema_error(text):
+    value = _value_or_schema_error(parse_rational, text)
+    assert value is None or isinstance(value, Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functions | _json)
+def test_function_from_dict_value_or_schema_error(data):
+    value = _value_or_schema_error(function_from_dict, data)
+    assert value is None or isinstance(value, PartialBooleanFn)
