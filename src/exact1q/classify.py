@@ -11,8 +11,11 @@ supports are recovered from the vertices of the weight-constraint
 arrangement instead of walking all 2**31 subsets. The vertices are
 found in integers (fraction-free elimination, Cramer form) and only for
 orbit representatives under bit relabelling, then closed under the n!
-relabellings: at n=5 that is 76,020 square solves, not 435,897, for
-148 vertices and 142 maximal supports.
+relabellings. The systems are walked depth-first, one row at a time, so
+systems that share rows share their elimination: at n=5, 10,309 row
+steps and 7,960 solution lines close 67,309 systems (76,020 square
+solves one system at a time, 435,897 without orbits), for 148 vertices
+and 142 maximal supports.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -23,7 +26,6 @@ the bundled catalog rows and itemizes every disagreement.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +49,7 @@ from .feasibility import (
     decide_with_fixed_zeros,
     verify_result,
 )
-from .intlinalg import solve_square
+from .intlinalg import close_line, extend_echelon, solution_line
 from .reduction import ReducedFn
 
 FULL_MODE_MAX = 4
@@ -80,7 +82,19 @@ class ClassificationRecord:
         )
 
     def support_strings(self) -> tuple[str, ...]:
-        return tuple(mask_to_string(m, self.n) for m in self.support)
+        names = _mask_strings(self.n)
+        return tuple([names[m] for m in self.support])
+
+    def included_by_strings(self) -> tuple[str, ...]:
+        names = _mask_strings(self.n)
+        return tuple([names[m] for m in self.included_by or ()])
+
+
+@lru_cache(maxsize=None)
+def _mask_strings(n: int) -> tuple[str, ...]:
+    """`mask_to_string` of every n-bit mask, indexed by mask: built once per
+    classification arity, so emitting records formats no mask again."""
+    return tuple(mask_to_string(m, n) for m in range(1 << n))
 
 
 def _support_key(support: Sequence[int]) -> int:
@@ -320,22 +334,40 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     orbits j and later. Every system has a relabelling that moves one of
     its rows from its lowest orbit onto that orbit's first row, so closing
     the solutions under all n! coordinate permutations gives exactly the
-    full vertex set. At n=5 that is 76,020 square solves, not all
-    C(37, 5) = 435,897, for 148 vertices.
+    full vertex set.
+
+    The systems are walked depth-first, rows in order, so each prefix is
+    eliminated once for all its completions (`extend_echelon`) and a
+    dependent prefix prunes them all. A prefix of n - 1 rows becomes a
+    solution line, and each later row closes it with two dot products
+    (`close_line`). At n=5 that is 10,309 row steps, 7,960 lines and
+    67,309 closed systems (41,261 of them nonsingular) in place of 76,020
+    square solves (all C(37, 5) = 435,897 without orbits), for 148
+    vertices.
     """
-    orbits = _arrangement_orbits(n)
     found: set[tuple[tuple[int, ...], int]] = set()
+
+    def walk(rows, prefix, start, stop):
+        if len(prefix) == n - 1:
+            line = solution_line(prefix, n)
+            for row in rows[start:stop]:
+                point = close_line(line, row)
+                if point is not None:
+                    nums, det = point
+                    if min(nums) >= 0 and sum(nums) <= 2 * det:
+                        found.add(point)
+            return
+        # rows[start:stop] leave enough rows after them to finish a system
+        for i in range(start, stop):
+            longer = extend_echelon(prefix, rows[i], n)
+            if longer is not None:
+                walk(rows, longer, i + 1, len(rows) - (n - 2 - len(prefix)))
+
+    orbits = _arrangement_orbits(n)
     for j, orbit in enumerate(orbits):
-        later = orbit[1:] + [row for o in orbits[j + 1:] for row in o]
-        for rest in itertools.combinations(later, n - 1):
-            sol = solve_square((orbit[0],) + rest, n)
-            if sol is None:
-                continue
-            nums, det = sol
-            if min(nums) < 0 or sum(nums) > 2 * det:
-                continue
-            g = math.gcd(det, *nums)
-            found.add((tuple(v // g for v in nums), det // g))
+        rows = orbit + [row for o in orbits[j + 1:] for row in o]
+        # the first row is always orbit j's first row
+        walk(rows, (), 0, 1)
     return sorted(
         {
             (tuple(nums[p] for p in perm), det)

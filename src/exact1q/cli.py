@@ -12,7 +12,6 @@ import json
 import sys
 from .classify import enumerate_reduced, reproduce_tables
 from .construct import construct, dj_family, level_solutions, profile
-from .core import mask_to_string
 from .errors import Exact1qError, InternalError, SchemaError
 from .feasibility import decide
 from .jsonio import (
@@ -103,19 +102,20 @@ _CSV_COLUMNS = (
 )
 
 
+_BOOL = ("false", "true")
+
+
 def _record_row(rec) -> list[str]:
     return [
         ";".join(rec.support_strings()),
-        str(rec.feasible).lower(),
+        _BOOL[rec.feasible],
         " ".join(format_rational(v) for v in rec.witness.z) if rec.witness else "",
-        str(rec.symmetric).lower(),
-        str(rec.fewer_bits).lower(),
-        str(rec.dj_computable).lower(),
-        str(rec.maximal).lower(),
-        ";".join(mask_to_string(m, rec.n) for m in rec.included_by)
-        if rec.included_by
-        else "",
-        str(rec.non_trivial).lower(),
+        _BOOL[rec.symmetric],
+        _BOOL[rec.fewer_bits],
+        _BOOL[rec.dj_computable],
+        _BOOL[rec.maximal],
+        ";".join(rec.included_by_strings()),
+        _BOOL[rec.non_trivial],
     ]
 
 

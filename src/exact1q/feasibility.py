@@ -116,7 +116,7 @@ def _presolve(eq_rows, nvars):
             constant = sum((m * rhs for m, (_, rhs) in zip(comb, eq_rows)), _ZERO)
             return "infeasible", [-m / constant for m in comb]
 
-    rows = reduce_pivot_rows(work, pivots, det)
+    rows = reduce_pivot_rows([(work[r], c) for r, c in pivots], det)
     if det < 0:
         rows = [[-v for v in row] for row in rows]
     return "reduced", (rows, pivots)

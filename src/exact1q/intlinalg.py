@@ -7,14 +7,24 @@ pivot is exact and no `Fraction` is formed while eliminating. A minor
 is a nonzero multiple of the matching Gauss-Jordan entry, so the same
 pivots are found as by rational elimination with the same pivot rule.
 
-Both exact solvers use it: the presolve of the feasibility LP
-(`echelon` then `reduce_pivot_rows`) and the square vertex solves of
-witness-first classification (`solve_square`).
+Both exact solvers use it. The presolve of the feasibility LP
+eliminates a whole system at once (`echelon`, then `reduce_pivot_rows`).
+Witness-first classification walks many systems that share rows, so it
+eliminates one row at a time (`extend_echelon`): a prefix of rows is
+eliminated once for every system that starts with it. n - 1 independent
+rows leave a solution line (`solution_line`), and each last row meets
+that line in one point (`close_line`). `solve_square` is the same row
+step applied to all n rows.
 """
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
+
+#: A prefix in echelon form: (pivot row, pivot column) pairs in pivot order.
+Prefix = tuple[tuple[Sequence[int], int], ...]
 
 
 def echelon(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
@@ -61,19 +71,21 @@ def echelon(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], i
 
 
 def reduce_pivot_rows(
-    rows: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], det: int
+    pivots: Sequence[tuple[Sequence[int], int]], det: int, cols: Sequence[int] | None = None
 ) -> list[list[int]]:
     """det times the reduced row echelon form of the pivot rows, one row
-    per pivot in pivot order, by back-substitution after `echelon`.
+    per (pivot row, pivot column) pair in pivot order, restricted to the
+    columns `cols` (default: every column), by back-substitution.
 
-    det times the inverse of the pivot block is its adjugate, an integer
-    matrix, so every division here is exact.
+    Each pivot row must be zero on the columns of the pivots before it, as
+    `echelon` and `extend_echelon` leave it. det times the inverse of the
+    pivot block is its adjugate, an integer matrix, so every division here
+    is exact.
     """
     out: list[list[int]] = [[] for _ in pivots]
     for j in range(len(pivots) - 1, -1, -1):
-        r, c = pivots[j]
-        row = rows[r]
-        acc = [det * v for v in row]
+        row, c = pivots[j]
+        acc = [det * v for v in row] if cols is None else [det * row[k] for k in cols]
         for l in range(j + 1, len(pivots)):
             f = row[pivots[l][1]]
             if f:
@@ -83,21 +95,106 @@ def reduce_pivot_rows(
     return out
 
 
+def extend_echelon(prefix: Prefix, row: Sequence[int], n: int) -> Prefix | None:
+    """The row step: `row` [a | b] eliminated against the pivot rows of
+    `prefix` and appended to it, or None when a is a combination of the
+    prefix's coefficient rows.
+
+    Bareiss one row at a time: step k replaces the row by
+    (pv_k * row - row[c_k] * p_k) // pv_(k-1), an exact division, so after
+    k steps each entry is a (k+1)-minor, as it would be in `echelon`. The
+    new pivot is the first nonzero of the n coefficient columns; when
+    there is none, every system that completes the prefix with more rows
+    is singular too.
+    """
+    prev = 1
+    for p, c in prefix:
+        pv = p[c]
+        f = row[c]
+        if f:
+            row = [(pv * x - f * y) // prev for x, y in zip(row, p)]
+        elif pv != prev:
+            row = [pv * x // prev for x in row]
+        prev = pv
+    for c in range(n):
+        if row[c]:
+            return prefix + ((row, c),)
+    return None
+
+
+def _pivot_value(prefix: Prefix) -> int:
+    """The last pivot of a prefix: its pivot block's determinant up to sign."""
+    if not prefix:
+        return 1
+    row, c = prefix[-1]
+    return row[c]
+
+
+def solution_line(prefix: Prefix, n: int) -> tuple[list[int], list[int], int]:
+    """The solutions of n - 1 independent rows over n columns as the line
+    x = (w + t * u) / det, t rational, with w and u integer vectors.
+
+    u spans the null space: it is det on the one free column and minus
+    det times the reduced row's free-column entry on each pivot column; w
+    is zero on the free column and det times the reduced right-hand side
+    on each pivot column. One back-substitution of those two columns.
+    """
+    det = _pivot_value(prefix)
+    pivoted = {c for _, c in prefix}
+    free = next(c for c in range(n) if c not in pivoted)
+    w = [0] * n
+    u = [0] * n
+    u[free] = det
+    for (_, c), (rf, rb) in zip(prefix, reduce_pivot_rows(prefix, det, (free, n))):
+        w[c] = rb
+        u[c] = -rf
+    return w, u, det
+
+
+def close_line(
+    line: tuple[Sequence[int], Sequence[int], int], row: Sequence[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """The point where `row` [a | b] meets the line in lowest-terms Cramer
+    form (nums, den), den > 0, or None when a . u = 0 (the square system
+    of the line's rows and this one is singular).
+
+    a . (w + t * u) / det = b gives t = (b * det - a . w) / (a . u), so the
+    point is (w * s + (b * det - a . w) * u) / (det * s) with s = a . u:
+    two dot products.
+    """
+    w, u, det = line
+    # map stops at the shorter argument, so the dot products skip b
+    s = sum(map(mul, row, u))
+    if not s:
+        return None
+    t = row[-1] * det - sum(map(mul, row, w))
+    den = det * s
+    if den < 0:
+        s, t, den = -s, -t, -den
+    nums = [x * s + t * y for x, y in zip(w, u)]
+    g = math.gcd(den, *nums)
+    if g > 1:
+        return tuple([v // g for v in nums]), den // g
+    return tuple(nums), den
+
+
 def solve_square(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int] | None:
     """Solve n integer rows [a | b] in Cramer form: the solution is
-    nums / det with det > 0, or None when the matrix is singular.
+    nums / det with det = |det(a)| > 0, or None when a is singular.
 
-    The square case of `echelon`, with back-substitution of the right-hand
-    side only: det * x is an integer vector, so it stays exact.
+    The row step applied to every row, then back-substitution of the
+    right-hand side only: det * x is an integer vector, so it stays exact.
+    Since det is |det(a)|, the form does not depend on the pivots taken.
     """
-    a = [list(r) for r in rows]
-    pivots, det = echelon(a, n)
-    if len(pivots) < n:
-        return None
+    prefix: Prefix = ()
+    for row in rows:
+        prefix = extend_echelon(prefix, row, n)
+        if prefix is None:
+            return None
+    det = _pivot_value(prefix)
     nums = [0] * n
-    for r, c in reversed(pivots):
-        row = a[r]
-        nums[c] = (det * row[n] - sum(row[j] * nums[j] for j in range(c + 1, n))) // row[c]
+    for (_, c), (v,) in zip(prefix, reduce_pivot_rows(prefix, det, (n,))):
+        nums[c] = v
     if det < 0:
         return tuple(-v for v in nums), -det
     return tuple(nums), det

@@ -166,13 +166,25 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     from exact1q import classify
     from exact1q.construct import level_set
 
-    solves = []
-    solve = classify.solve_square
-    monkeypatch.setattr(
-        classify, "solve_square", lambda rows, n: solves.append(1) or solve(rows, n)
-    )
+    calls = {"row": 0, "line": 0, "close": 0, "point": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            out = fn(*args)
+            if name == "close" and out is not None:
+                calls["point"] += 1
+            return out
+
+        return wrapper
+
+    for name, attr in (("row", "extend_echelon"), ("line", "solution_line"), ("close", "close_line")):
+        monkeypatch.setattr(classify, attr, counted(name, getattr(classify, attr)))
     recs = maximal_feasible(5)
-    assert len(solves) == 76020  # orbit representatives only
+    # orbit representatives only, depth-first: 10,309 row steps (7 of them
+    # an orbit's first row), 7,960 lines, 67,309 last rows of which 41,261
+    # meet their line; the square solve per system made 76,020 solves
+    assert calls == {"row": 10309, "line": 7960, "close": 67309, "point": 41261}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -195,6 +207,18 @@ def test_vertex_witnesses_match_bruteforce(n):
 
     got = {tuple(Fraction(v, 2 * det) for v in nums) for nums, det in _vertex_witnesses(n)}
     assert got == bf_vertices(n)
+
+
+def test_vertex_witnesses_n5_pinned():
+    # the n=5 vertex list, Cramer forms in lowest terms, in sorted order
+    import hashlib
+
+    from exact1q.classify import _vertex_witnesses
+
+    vertices = _vertex_witnesses(5)
+    assert len(vertices) == 148
+    digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
+    assert digest == "903876a0fc85b64cff47a00d69338e25606b8ad9ea3fb62c63a08456c821b6b1"
 
 
 def test_unique_system_witnesses_reproduced_exactly():

@@ -1,5 +1,5 @@
-"""Fuzzing the JSON and rational readers: whatever the input, the result
-is a value or a SchemaError, never another exception."""
+"""Fuzzing the JSON, rational and witness readers: whatever the input, the
+result is a value or a SchemaError, never another exception."""
 
 from fractions import Fraction
 
@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from exact1q.core import PartialBooleanFn
 from exact1q.errors import SchemaError
-from exact1q.jsonio import function_from_dict, parse_rational
+from exact1q.feasibility import WeightVector
+from exact1q.jsonio import function_from_dict, parse_rational, witness_from_dict
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -22,6 +23,10 @@ _functions = st.fixed_dictionaries(
         "ones": _masks,
         "zeros": _masks,
     }
+)
+_weight = st.fractions(min_value=-1, max_value=2, max_denominator=12).map(str) | _json
+_witnesses = st.fixed_dictionaries(
+    {"z": st.lists(_weight, max_size=5) | _json}, optional={"z0": _weight}
 )
 _literals = (
     st.text()
@@ -52,3 +57,10 @@ def test_parse_rational_value_or_schema_error(text):
 def test_function_from_dict_value_or_schema_error(data):
     value = _value_or_schema_error(function_from_dict, data)
     assert value is None or isinstance(value, PartialBooleanFn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_witnesses | _json)
+def test_witness_from_dict_value_or_schema_error(data):
+    value = _value_or_schema_error(witness_from_dict, data)
+    assert value is None or isinstance(value, WeightVector)
