@@ -29,8 +29,7 @@ import itertools
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import catalog
 from .core import (
@@ -45,6 +44,7 @@ from .errors import ArityTooLargeError, InternalError
 from .feasibility import (
     FeasibilityResult,
     WeightVector,
+    _fixed_bit_set,
     decide_reduced,
     decide_with_fixed_zeros,
     verify_result,
@@ -82,12 +82,10 @@ class ClassificationRecord:
         )
 
     def support_strings(self) -> tuple[str, ...]:
-        names = _mask_strings(self.n)
-        return tuple([names[m] for m in self.support])
+        return _mask_labels(self.n, self.support)
 
     def included_by_strings(self) -> tuple[str, ...]:
-        names = _mask_strings(self.n)
-        return tuple([names[m] for m in self.included_by or ()])
+        return _mask_labels(self.n, self.included_by or ())
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +93,11 @@ def _mask_strings(n: int) -> tuple[str, ...]:
     """`mask_to_string` of every n-bit mask, indexed by mask: built once per
     classification arity, so emitting records formats no mask again."""
     return tuple(mask_to_string(m, n) for m in range(1 << n))
+
+
+def _mask_labels(n: int, masks: Iterable[int]) -> tuple[str, ...]:
+    names = _mask_strings(n)
+    return tuple([names[m] for m in masks])
 
 
 def _support_key(support: Sequence[int]) -> int:
@@ -105,8 +108,14 @@ def _support_key(support: Sequence[int]) -> int:
     return key
 
 
-def _key_support(key: int, n: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, 1 << n) if key >> (m - 1) & 1)
+def _key_support(key: int) -> tuple[int, ...]:
+    """The masks of a support key, ascending: one step per set bit."""
+    support = []
+    while key:
+        low = key & -key
+        support.append(low.bit_length())
+        key ^= low
+    return tuple(support)
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +152,15 @@ def is_dj_computable(n: int, support: Sequence[int]) -> bool:
 def removable_bits(g: ReducedFn, candidates: Iterable[int] | None = None) -> tuple[int, ...]:
     """Bits whose query weight can be zero in some feasible assignment.
 
-    Only bits in `candidates` (default: every bit) can be reported. A bit
-    whose weight is already zero in the `decide_reduced` witness needs no
-    probe; every other candidate is probed with its weight pinned to zero.
+    Only bits in `candidates` (default: every bit; SchemaError for one
+    outside 1..n) can be reported. A bit whose weight is already zero in
+    the `decide_reduced` witness needs no probe; every other candidate is
+    probed with its weight pinned to zero.
     """
+    bits = range(1, g.n + 1) if candidates is None else sorted(_fixed_bit_set(g.n, candidates))
     res = decide_reduced(g)
     if not res.feasible:
         return ()
-    bits = range(1, g.n + 1) if candidates is None else sorted(candidates)
     return tuple(
         i
         for i in bits
@@ -163,7 +173,7 @@ def _record(
 ) -> ClassificationRecord:
     return ClassificationRecord(
         n=n,
-        support=_key_support(key, n),
+        support=_key_support(key),
         feasible=witness is not None,
         witness=witness,
         symmetric=_key_symmetric(n, key),
@@ -175,12 +185,8 @@ def _record(
 def _classify_support(
     n: int, key: int, candidates: Iterable[int] | None = None
 ) -> ClassificationRecord:
-    g = ReducedFn(n, _key_support(key, n))
+    g = ReducedFn(n, _key_support(key))
     return _record(n, key, decide_reduced(g).witness, removable_bits(g, candidates))
-
-
-def _classify_candidate(args: tuple[int, int, tuple[int, ...]]) -> ClassificationRecord:
-    return _classify_support(*args)
 
 
 def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
@@ -201,7 +207,7 @@ def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
     return parents
 
 
-def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
+def _levelwise(n: int) -> list[ClassificationRecord]:
     """Walk the supports by size, deciding only those whose immediate
     subsets are all feasible.
 
@@ -219,7 +225,9 @@ def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
     records: dict[int, ClassificationRecord] = {}
     layer = [0]
     while layer:
-        jobs = []
+        # candidates have one mask more than the layer's supports, so
+        # recording one cannot change which of the others are decided
+        larger = []
         for key in layer:
             # a candidate is generated once, from its subset without its top mask
             for b in range(key.bit_length(), n_masks):
@@ -227,42 +235,35 @@ def _levelwise(n: int, mapper: Callable) -> list[ClassificationRecord]:
                 subsets = [cand ^ 1 << c for c in range(b + 1) if cand >> c & 1]
                 if all(s in removable for s in subsets):
                     common = frozenset.intersection(*(removable[s] for s in subsets))
-                    jobs.append((n, cand, tuple(sorted(common))))
-        layer = []
-        for (_, key, _), rec in zip(jobs, mapper(_classify_candidate, jobs)):
-            records[key] = rec
-            if rec.feasible:
-                removable[key] = frozenset(rec.removable_bits)
-                layer.append(key)
+                    rec = records[cand] = _classify_support(n, cand, common)
+                    if rec.feasible:
+                        removable[cand] = frozenset(rec.removable_bits)
+                        larger.append(cand)
+        layer = larger
     parents = _inclusion(key for key in removable if key)
     out = []
     for key in range(1, 1 << n_masks):
         rec = records[key] if key in records else _record(n, key, None, ())
         if key in parents:
             parent = parents[key]
-            included_by = None if parent is None else _key_support(parent, n)
+            included_by = None if parent is None else _key_support(parent)
             rec = replace(rec, maximal=parent is None, included_by=included_by)
         out.append(rec)
     return out
 
 
-def classify_all(n: int, workers: int = 1) -> list[ClassificationRecord]:
-    """All 2**(2**n - 1) - 1 records at arity n (full mode, n <= 4).
-
-    Records come in support-key order; the worker count never changes them.
-    """
+def classify_all(n: int) -> list[ClassificationRecord]:
+    """All 2**(2**n - 1) - 1 records at arity n (full mode, n <= 4), in
+    support-key order."""
     if n > FULL_MODE_MAX:
         raise ArityTooLargeError(
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
         )
-    if workers <= 1:
-        return _levelwise(n, map)
-    with get_context("spawn").Pool(workers) as pool:
-        return _levelwise(n, pool.map)
+    return _levelwise(n)
 
 
-def enumerate_reduced(n: int, workers: int = 1) -> Iterator[ClassificationRecord]:
+def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
     """Stream classification records in deterministic support-key order.
 
     n <= 4 streams every support; n = 5 streams only the maximal feasible
@@ -271,7 +272,7 @@ def enumerate_reduced(n: int, workers: int = 1) -> Iterator[ClassificationRecord
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     if n <= FULL_MODE_MAX:
-        yield from classify_all(n, workers=workers)
+        yield from classify_all(n)
     else:
         yield from _vertex_mode_records(n)
 
@@ -492,7 +493,7 @@ def _derived_kind(rec: ClassificationRecord) -> str:
     return "dj_computable"
 
 
-def reproduce_tables(n: int, workers: int = 1) -> TableReport:
+def reproduce_tables(n: int) -> TableReport:
     """Re-derive the bundled catalog at arity 3 or 4 against a full run.
 
     Every row's claimed weights are re-verified exactly; every row's
@@ -504,14 +505,14 @@ def reproduce_tables(n: int, workers: int = 1) -> TableReport:
     if n not in (3, 4):
         raise ArityTooLargeError("catalog reproduction is defined for n in {3, 4}")
     rows = catalog.rows_for(n)
-    records = classify_all(n, workers=workers)
+    records = classify_all(n)
     by_support = {r.support: r for r in records}
 
     checks: list[RowCheck] = []
     discrepancies: list[str] = []
     for row in rows:
         support = tuple(sorted(string_to_mask(s, n) for s in row.support))
-        support_label = ",".join(mask_to_string(m, n) for m in support)
+        support_label = ",".join(_mask_labels(n, support))
         rec = by_support[support]
         g = ReducedFn(n, support)
         claimed = row.weight_fractions()
@@ -560,7 +561,7 @@ def reproduce_tables(n: int, workers: int = 1) -> TableReport:
                 )
         checks.append(
             RowCheck(
-                support=tuple(mask_to_string(m, n) for m in support),
+                support=_mask_labels(n, support),
                 expected_kind=row.kind,
                 claimed_weights=claimed,
                 family_representative=row.family,
@@ -586,7 +587,7 @@ def reproduce_tables(n: int, workers: int = 1) -> TableReport:
             unlisted_orbits.append(canon)
             discrepancies.append(
                 "maximal support orbit not in catalog: "
-                + ",".join(mask_to_string(m, n) for m in canon)
+                + ",".join(_mask_labels(n, canon))
                 + " (trivial: "
                 + _derived_kind(by_support[canon])
                 + ")"
@@ -612,19 +613,11 @@ def reproduce_tables(n: int, workers: int = 1) -> TableReport:
         rows=tuple(checks),
         total_records=len(records),
         feasible_records=feasible_records,
-        maximal_supports=tuple(
-            tuple(mask_to_string(m, n) for m in s) for s in sorted(maximal)
-        ),
-        unlisted_maximal_orbits=tuple(
-            tuple(mask_to_string(m, n) for m in s) for s in unlisted_orbits
-        ),
-        nontrivial_supports=tuple(
-            tuple(mask_to_string(m, n) for m in s) for s in nt_supports
-        ),
+        maximal_supports=tuple(_mask_labels(n, s) for s in sorted(maximal)),
+        unlisted_maximal_orbits=tuple(_mask_labels(n, s) for s in unlisted_orbits),
+        nontrivial_supports=tuple(_mask_labels(n, s) for s in nt_supports),
         nontrivial_orbit_count=len(nt_orbits),
-        claimed_nontrivial_supports=tuple(
-            tuple(mask_to_string(m, n) for m in s) for s in sorted(claimed_nt)
-        ),
+        claimed_nontrivial_supports=tuple(_mask_labels(n, s) for s in sorted(claimed_nt)),
         claimed_nontrivial_count=len(claimed_nt),
         derived_nontrivial_count=len(nt_supports),
         count_matches_claim=count_matches,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 2 precondition or input errors (with a one-line
 diagnostic); 3 I/O failures; 4 internal invariant violations (bugs).
-Output is UTF-8 and byte-stable for identical inputs at a single worker.
+Output is UTF-8 and byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _record_row(rec) -> list[str]:
 
 
 def _cmd_enumerate(args) -> None:
-    records = enumerate_reduced(args.n, workers=args.workers)
+    records = enumerate_reduced(args.n)
     if args.format == "csv":
         lines = [",".join(_CSV_COLUMNS)] + [",".join(_record_row(rec)) for rec in records]
         _write("\n".join(lines) + "\n", args.out)
@@ -130,7 +130,7 @@ def _cmd_enumerate(args) -> None:
 
 
 def _cmd_tables(args) -> None:
-    report = reproduce_tables(args.n, workers=args.workers)
+    report = reproduce_tables(args.n)
     _emit(report.to_json_dict(), args.out)
 
 
@@ -139,16 +139,6 @@ def _cmd_simulate(args) -> None:
     w = load_witness(args.witness)
     report = success_probabilities(f, w)
     _emit(report.to_json_dict(), args.out)
-
-
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,13 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify every reduced support at arity n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_worker_count, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="re-derive the bundled 3/4-bit catalog")
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
-    p.add_argument("--workers", type=_worker_count, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tables)
 

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .core import PartialBooleanFn, diff_set, mask_bits
 from .errors import InternalError, SchemaError
-from .intlinalg import echelon, reduce_pivot_rows, solve_square
+from .intlinalg import extend_echelon, pivot_value, reduce_pivot_rows, solve_square
 from .reduction import ReducedFn, reduce
 
 _HALF = Fraction(1, 2)
@@ -92,34 +92,42 @@ def _presolve(eq_rows, nvars):
     """Row-reduce the equality rows in integers.
 
     Each row (integer coeffs, rational rhs) is scaled by its rhs
-    denominator and eliminated fraction-free (`intlinalg.echelon`). Returns
-    ('infeasible', multipliers) when the equalities alone are
+    denominator and eliminated fraction-free, one row step at a time
+    (`intlinalg.extend_echelon`), with the rhs as the last column. A row
+    pivots on the first column where it leaves the span of the rows
+    before it, so the pivot rows are the first rows that span the system
+    and their pivot columns are those of the reduced row echelon form.
+    Returns ('infeasible', multipliers) when the equalities alone are
     contradictory, else ('reduced', (rows, pivots)): one integer row
     [coeffs | rhs] per pivot (row index, column), in column order, equal
     to |det| times the matching row of the reduced row echelon form. Its
     entry on its own pivot column is |det| > 0, the factor to divide by.
     """
-    work = []
-    for coeffs, rhs in eq_rows:
+    prefix = ()
+    pivots = []  # (row index, column), in row order
+    for r, (coeffs, rhs) in enumerate(eq_rows):
         scale = rhs.denominator  # an int or a Fraction
-        work.append([scale * v for v in coeffs] + [rhs.numerator])
-    pivots, det = echelon(work, nvars)
-
-    pivoted = {r for r, _ in pivots}
-    for r, row in enumerate(work):
-        if r not in pivoted and row[-1]:
+        longer = extend_echelon(prefix, [scale * v for v in coeffs] + [rhs.numerator], nvars + 1)
+        if longer is None:
+            continue  # a combination of the rows before it, rhs included
+        c = longer[-1][1]
+        if c == nvars:
             # 0 == rhs with rhs != 0: row r minus its combination of the
             # pivot rows certifies, scaled so the constant is -1.
-            y = _pivot_combination(eq_rows, pivots, [eq_rows[r][0][c] for _, c in pivots])
+            y = _pivot_combination(eq_rows, pivots, [coeffs[col] for _, col in pivots])
             comb = [-v for v in y]
             comb[r] = _ONE
             constant = sum((m * rhs for m, (_, rhs) in zip(comb, eq_rows)), _ZERO)
             return "infeasible", [-m / constant for m in comb]
+        prefix = longer
+        pivots.append((r, c))
 
-    rows = reduce_pivot_rows([(work[r], c) for r, c in pivots], det)
+    det = pivot_value(prefix)
+    rows = reduce_pivot_rows(prefix, det)
     if det < 0:
         rows = [[-v for v in row] for row in rows]
-    return "reduced", (rows, pivots)
+    order = sorted(range(len(pivots)), key=lambda j: pivots[j][1])
+    return "reduced", ([rows[j] for j in order], [pivots[j] for j in order])
 
 
 def _pivot_combination(eq_rows, pivots, target):
@@ -310,10 +318,15 @@ def decide_with_fixed_zeros(g: ReducedFn, fixed: Iterable[int]) -> FeasibilityRe
     A feasible answer means the function is computable by an algorithm
     that never gives query weight to those bits.
     """
-    fixed_set = frozenset(fixed)
-    if not fixed_set <= set(range(1, g.n + 1)):
-        raise SchemaError(f"fixed bits {sorted(fixed_set)} outside 1..{g.n}")
-    return _decide_cached(g.n, g.support, fixed_set)
+    return _decide_cached(g.n, g.support, _fixed_bit_set(g.n, fixed))
+
+
+def _fixed_bit_set(n: int, bits: Iterable[int]) -> frozenset[int]:
+    """`bits` as a set of bit indices, or SchemaError if one is outside 1..n."""
+    fixed = frozenset(bits)
+    if not fixed <= set(range(1, n + 1)):
+        raise SchemaError(f"fixed bits {sorted(fixed)} outside 1..{n}")
+    return fixed
 
 
 def decide(f: PartialBooleanFn) -> FeasibilityResult:

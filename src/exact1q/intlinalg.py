@@ -7,14 +7,16 @@ pivot is exact and no `Fraction` is formed while eliminating. A minor
 is a nonzero multiple of the matching Gauss-Jordan entry, so the same
 pivots are found as by rational elimination with the same pivot rule.
 
-Both exact solvers use it. The presolve of the feasibility LP
-eliminates a whole system at once (`echelon`, then `reduce_pivot_rows`).
-Witness-first classification walks many systems that share rows, so it
-eliminates one row at a time (`extend_echelon`): a prefix of rows is
-eliminated once for every system that starts with it. n - 1 independent
-rows leave a solution line (`solution_line`), and each last row meets
-that line in one point (`close_line`). `solve_square` is the same row
-step applied to all n rows.
+Every elimination is one row step (`extend_echelon`): a row is
+eliminated against a prefix of pivot rows and appended to it, and
+`reduce_pivot_rows` back-substitutes the result. The presolve of the
+feasibility LP feeds it the equality rows one by one, with the
+right-hand side as a last column, so a pivot there is a contradiction.
+Witness-first classification walks many systems that share rows, so a
+prefix of rows is eliminated once for every system that starts with it.
+n - 1 independent rows leave a solution line (`solution_line`), and each
+last row meets that line in one point (`close_line`). `solve_square` is
+the row step applied to all n rows.
 """
 
 from __future__ import annotations
@@ -27,49 +29,6 @@ from typing import Sequence
 Prefix = tuple[tuple[Sequence[int], int], ...]
 
 
-def echelon(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
-    """Forward fraction-free elimination of `rows` in place over the first
-    `ncols` columns.
-
-    Pivot rule: for each column in order, the first row not yet pivoted,
-    in input order, with a nonzero entry. Returns the pivots as
-    (row index, column) in column order and the last pivot value, which is
-    the determinant of the pivot block up to sign. Afterwards each pivot
-    row is zero on the columns of earlier pivots, and every other row is
-    a nonzero multiple of its residual, so zero on all `ncols` columns.
-
-    A row whose entry under the pivot is zero is left as it is and brought
-    up to date only when it is next touched: a row last updated with
-    divisor d is a multiple d' / d of its current minors, so the next
-    update divides by d and a pivot row is first lifted by prev / d.
-    """
-    free = list(range(len(rows)))
-    div = [1] * len(rows)
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    for col in range(ncols):
-        for pos, r in enumerate(free):
-            if rows[r][col]:
-                break
-        else:
-            continue
-        del free[pos]
-        p = rows[r]
-        if div[r] != prev:
-            rows[r] = p = [v * prev // div[r] for v in p]
-        pv = p[col]
-        for i in free:
-            row = rows[i]
-            f = row[col]
-            if f:
-                d = div[i]
-                rows[i] = [(pv * x - f * y) // d for x, y in zip(row, p)]
-                div[i] = pv
-        pivots.append((r, col))
-        prev = pv
-    return pivots, prev
-
-
 def reduce_pivot_rows(
     pivots: Sequence[tuple[Sequence[int], int]], det: int, cols: Sequence[int] | None = None
 ) -> list[list[int]]:
@@ -78,9 +37,8 @@ def reduce_pivot_rows(
     columns `cols` (default: every column), by back-substitution.
 
     Each pivot row must be zero on the columns of the pivots before it, as
-    `echelon` and `extend_echelon` leave it. det times the inverse of the
-    pivot block is its adjugate, an integer matrix, so every division here
-    is exact.
+    `extend_echelon` leaves it. det times the inverse of the pivot block is
+    its adjugate, an integer matrix, so every division here is exact.
     """
     out: list[list[int]] = [[] for _ in pivots]
     for j in range(len(pivots) - 1, -1, -1):
@@ -102,10 +60,11 @@ def extend_echelon(prefix: Prefix, row: Sequence[int], n: int) -> Prefix | None:
 
     Bareiss one row at a time: step k replaces the row by
     (pv_k * row - row[c_k] * p_k) // pv_(k-1), an exact division, so after
-    k steps each entry is a (k+1)-minor, as it would be in `echelon`. The
-    new pivot is the first nonzero of the n coefficient columns; when
-    there is none, every system that completes the prefix with more rows
-    is singular too.
+    k steps each entry is a (k+1)-minor. The new pivot is the first
+    nonzero of the n coefficient columns; when there is none, every system
+    that completes the prefix with more rows is singular too. Passing the
+    row's full length as n makes b a column too, so a pivot on it is the
+    contradiction 0 = b != 0.
     """
     prev = 1
     for p, c in prefix:
@@ -122,7 +81,7 @@ def extend_echelon(prefix: Prefix, row: Sequence[int], n: int) -> Prefix | None:
     return None
 
 
-def _pivot_value(prefix: Prefix) -> int:
+def pivot_value(prefix: Prefix) -> int:
     """The last pivot of a prefix: its pivot block's determinant up to sign."""
     if not prefix:
         return 1
@@ -139,7 +98,7 @@ def solution_line(prefix: Prefix, n: int) -> tuple[list[int], list[int], int]:
     is zero on the free column and det times the reduced right-hand side
     on each pivot column. One back-substitution of those two columns.
     """
-    det = _pivot_value(prefix)
+    det = pivot_value(prefix)
     pivoted = {c for _, c in prefix}
     free = next(c for c in range(n) if c not in pivoted)
     w = [0] * n
@@ -191,7 +150,7 @@ def solve_square(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...]
         prefix = extend_echelon(prefix, row, n)
         if prefix is None:
             return None
-    det = _pivot_value(prefix)
+    det = pivot_value(prefix)
     nums = [0] * n
     for (_, c), (v,) in zip(prefix, reduce_pivot_rows(prefix, det, (n,))):
         nums[c] = v

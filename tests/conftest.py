@@ -15,5 +15,5 @@ def records3():
 
 @pytest.fixture(scope="session")
 def records4():
-    """Full 4-bit run (32767 supports); shared because it costs ~30 s."""
+    """Full 4-bit run (32767 supports, about 1 s); shared by many tests."""
     return classify_all(4)

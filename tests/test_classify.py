@@ -8,10 +8,11 @@ from exact1q.classify import (
     maximal_feasible,
     nontrivial_catalog,
     orbit_canonical,
+    removable_bits,
     reproduce_tables,
 )
 from exact1q.core import string_to_mask
-from exact1q.errors import ArityTooLargeError
+from exact1q.errors import ArityTooLargeError, SchemaError
 
 
 def masks(n, *bits):
@@ -102,11 +103,6 @@ def test_enumerate_matches_classify(records3):
     assert list(enumerate_reduced(3)) == records3
 
 
-def test_sharding_determinism(records4):
-    assert classify_all(3, workers=3) == classify_all(3)
-    assert classify_all(4, workers=2) == records4
-
-
 def test_removable_bits_match_direct_probes(records3, records4):
     # probes skipped by subset pruning or by a zero witness weight must not
     # change the answer of probing every bit
@@ -122,6 +118,15 @@ def test_removable_bits_match_direct_probes(records3, records4):
                 i for i in range(1, n + 1) if decide_with_fixed_zeros(g, {i}).feasible
             )
             assert rec.removable_bits == direct, rec.support
+
+
+@pytest.mark.parametrize("bit", [0, 3])
+def test_removable_bits_rejects_candidates_outside_1_to_n(bit):
+    # bit 0 used to read the last weight and bit n + 1 to raise IndexError
+    from exact1q.reduction import ReducedFn
+
+    with pytest.raises(SchemaError, match=rf"fixed bits \[{bit}\] outside 1\.\.2"):
+        removable_bits(ReducedFn(2, [2]), [bit])
 
 
 def test_levelwise_solve_count():
@@ -263,7 +268,7 @@ def test_reproduce_tables_classifies_once(monkeypatch):
     calls = []
     levelwise = classify._levelwise
     monkeypatch.setattr(
-        classify, "_levelwise", lambda n, mapper: calls.append(n) or levelwise(n, mapper)
+        classify, "_levelwise", lambda n: calls.append(n) or levelwise(n)
     )
     reproduce_tables(3)
     assert calls == [3]

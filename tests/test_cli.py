@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exact1q.cli import build_parser, main
+from exact1q.cli import main
 from exact1q.jsonio import (
     function_from_dict,
     function_to_dict,
@@ -143,28 +143,13 @@ def test_enumerate_csv_deterministic(capsys, tmp_path):
     assert len(lines) == 1 + 127
 
 
-def test_enumerate_workers_match_single(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["enumerate", "--n", "3", "--out", str(a)]) == 0
-    assert main(["enumerate", "--n", "3", "--workers", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_workers_default_is_one():
-    parser = build_parser()
-    assert parser.parse_args(["enumerate", "--n", "3"]).workers == 1
-    assert parser.parse_args(["tables", "--n", "3"]).workers == 1
-    assert parser.parse_args(["tables", "--n", "3", "--workers", "2"]).workers == 2
-
-
 @pytest.mark.parametrize("command", ["enumerate", "tables"])
-@pytest.mark.parametrize("count", ["0", "-5"])
-def test_workers_below_one_is_exit_2(capsys, command, count):
-    # rejected while parsing, before any worker could start
+def test_workers_flag_is_gone(capsys, command):
+    # classification runs in one process; the flag is rejected while parsing
     with pytest.raises(SystemExit) as exc:
-        main([command, "--n", "3", "--workers", count])
+        main([command, "--n", "4", "--workers", "2"])
     assert exc.value.code == 2
-    assert f"got {count}" in capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -223,11 +208,15 @@ def test_public_names_resolve():
 
 
 def test_import_does_not_load_numpy():
-    # numpy is for the simulator only; every other command starts without it
+    # numpy is for the simulator only; every other command starts without it,
+    # and nothing starts a process pool
     import exact1q
 
     src = str(Path(exact1q.__file__).parents[1])
-    code = "import sys; import exact1q; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys; import exact1q.cli; "
+        "sys.exit(bool({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    )
     probe = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"])
     assert probe.returncode == 0
 

@@ -396,3 +396,28 @@ def test_presolve_matches_oracle_reduced_n10_13():
         for f in seeded_functions((10, 11, 12, 13))
     )
     assert statuses == {"reduced": 17, "infeasible": 11}
+
+
+def test_presolve_matches_oracle_random_integer_rows():
+    # general integer rows, a third of them combinations of earlier rows
+    # (half of those with a shifted rhs): dependent, contradictory and
+    # late-pivoting rows beyond the 0/1 and sign-vector systems above
+    rng = random.Random(2357)
+    statuses = collections.Counter()
+    for _ in range(400):
+        nvars = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            if rows and rng.random() < 1 / 3:
+                coeffs, rhs = [0] * nvars, F(0)
+                for c, b in rng.sample(rows, rng.randint(1, len(rows))):
+                    t = rng.choice((-2, -1, 1, 3))
+                    coeffs, rhs = [x + t * y for x, y in zip(coeffs, c)], rhs + t * b
+                if rng.random() < 0.5:
+                    rhs += F(rng.choice((-1, 1)), rng.randint(1, 3))
+            else:
+                coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(nvars)]
+                rhs = F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append((coeffs, rhs))
+        statuses[_check_presolve(rows, nvars)] += 1
+    assert statuses == {"infeasible": 248, "reduced": 152}
