@@ -255,7 +255,7 @@ def _levelwise(n: int) -> list[ClassificationRecord]:
 def classify_all(n: int) -> list[ClassificationRecord]:
     """All 2**(2**n - 1) - 1 records at arity n (full mode, n <= 4), in
     support-key order."""
-    if n > FULL_MODE_MAX:
+    if check_arity(n) > FULL_MODE_MAX:
         raise ArityTooLargeError(
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
@@ -279,7 +279,7 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
     """Feasible supports with no feasible strict superset."""
-    if n > VERTEX_MODE_MAX:
+    if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     if n <= FULL_MODE_MAX:
         return [r for r in classify_all(n) if r.maximal]
@@ -289,7 +289,7 @@ def maximal_feasible(n: int) -> list[ClassificationRecord]:
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
     """Non-trivial records, restricted to those with no non-trivial strict
     superset (the bookkeeping level at which the catalog counts)."""
-    if n > FULL_MODE_MAX:
+    if check_arity(n) > FULL_MODE_MAX:
         raise ArityTooLargeError(f"the non-trivial catalog is gated to n <= {FULL_MODE_MAX}")
     return _nontrivial_maximal(classify_all(n))
 

@@ -32,7 +32,7 @@ MAX_ARITY = 24
 
 
 def check_arity(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"arity must be a positive integer, got {n!r}")
     if n > MAX_ARITY:
         raise ArityTooLargeError(f"arity {n} exceeds the cap of {MAX_ARITY}")

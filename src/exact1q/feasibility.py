@@ -12,6 +12,14 @@ has non-negative coefficients on every variable and a strictly negative
 constant). Both answers re-verify by plain arithmetic in `verify_result`,
 which shares no code with the solver.
 
+The solver works in w = 2z, where every row is integral: one row
+[bits of x | 1] per x in S (the rows of the arrangement that
+witness-first classification walks), restricted to the free columns when
+bits are pinned to 0, and the fixed sum row w_1 + ... + w_n <= 2. Its
+answers are given in z: a witness is w / 2, and since each w row is twice
+its z row, a certificate of the w rows is one of the z rows up to a
+positive factor (`_solve_nonneg`).
+
 `decide` answers an arbitrary promise function through its reduced form
 and lifts the answer to the unreduced system over z_0..z_n (one
 sign-vector row per XOR difference); a certificate's multipliers
@@ -40,7 +48,6 @@ from .errors import InternalError, SchemaError
 from .intlinalg import extend_echelon, pivot_value, reduce_pivot_rows, solve_square
 from .reduction import ReducedFn, reduce
 
-_HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
@@ -85,39 +92,38 @@ class FeasibilityResult:
 
 # ---------------------------------------------------------------------------
 # Solver core: phase-1 simplex on an integer tableau after a fraction-free
-# presolve.
+# presolve, both in w = 2z.
 # ---------------------------------------------------------------------------
 
 def _presolve(eq_rows, nvars):
-    """Row-reduce the equality rows in integers.
+    """Row-reduce the integer equality rows [a | b] in integers.
 
-    Each row (integer coeffs, rational rhs) is scaled by its rhs
-    denominator and eliminated fraction-free, one row step at a time
-    (`intlinalg.extend_echelon`), with the rhs as the last column. A row
-    pivots on the first column where it leaves the span of the rows
-    before it, so the pivot rows are the first rows that span the system
-    and their pivot columns are those of the reduced row echelon form.
-    Returns ('infeasible', multipliers) when the equalities alone are
-    contradictory, else ('reduced', (rows, pivots)): one integer row
-    [coeffs | rhs] per pivot (row index, column), in column order, equal
-    to |det| times the matching row of the reduced row echelon form. Its
-    entry on its own pivot column is |det| > 0, the factor to divide by.
+    The rows are eliminated fraction-free, one row step at a time
+    (`intlinalg.extend_echelon`), with b as the last column. A row pivots
+    on the first column where it leaves the span of the rows before it,
+    so the pivot rows are the first rows that span the system and their
+    pivot columns are those of the reduced row echelon form. Returns
+    ('infeasible', multipliers) when the equalities alone are
+    contradictory, the multipliers scaled so that the combined constant
+    is -1, else ('reduced', (rows, pivots)): one integer row [a | b] per
+    pivot (row index, column), in column order, equal to |det| times the
+    matching row of the reduced row echelon form. Its entry on its own
+    pivot column is |det| > 0, the factor to divide by.
     """
     prefix = ()
     pivots = []  # (row index, column), in row order
-    for r, (coeffs, rhs) in enumerate(eq_rows):
-        scale = rhs.denominator  # an int or a Fraction
-        longer = extend_echelon(prefix, [scale * v for v in coeffs] + [rhs.numerator], nvars + 1)
+    for r, row in enumerate(eq_rows):
+        longer = extend_echelon(prefix, row, nvars + 1)
         if longer is None:
-            continue  # a combination of the rows before it, rhs included
+            continue  # a combination of the rows before it, b included
         c = longer[-1][1]
         if c == nvars:
-            # 0 == rhs with rhs != 0: row r minus its combination of the
-            # pivot rows certifies, scaled so the constant is -1.
-            y = _pivot_combination(eq_rows, pivots, [coeffs[col] for _, col in pivots])
+            # 0 == b with b != 0: row r minus its combination of the pivot
+            # rows certifies, scaled so the constant is -1.
+            y = _pivot_combination(eq_rows, pivots, [row[col] for _, col in pivots], 1)
             comb = [-v for v in y]
             comb[r] = _ONE
-            constant = sum((m * rhs for m, (_, rhs) in zip(comb, eq_rows)), _ZERO)
+            constant = sum(m * e[-1] for m, e in zip(comb, eq_rows))
             return "infeasible", [-m / constant for m in comb]
         prefix = longer
         pivots.append((r, c))
@@ -130,35 +136,17 @@ def _presolve(eq_rows, nvars):
     return "reduced", ([rows[j] for j in order], [pivots[j] for j in order])
 
 
-def _pivot_combination(eq_rows, pivots, target):
+def _pivot_combination(eq_rows, pivots, nums, den):
     """Multipliers over the equality rows, nonzero on the pivot rows p_j
-    only, whose combination equals `target` on the pivot columns c_j: one
-    square solve against the transposed pivot block, with `target` scaled
-    to integers by the lcm of its denominators.
+    only, whose combination equals nums / den on the pivot columns c_j:
+    one square solve against the transposed pivot block.
     """
-    target = [Fraction(v) for v in target]
-    scale = math.lcm(*(v.denominator for v in target))
-    system = [
-        [eq_rows[p][0][c] for p, _ in pivots] + [int(v * scale)]
-        for v, (_, c) in zip(target, pivots)
-    ]
-    nums, det = solve_square(system, len(pivots))
+    system = [[eq_rows[p][c] for p, _ in pivots] + [v] for v, (_, c) in zip(nums, pivots)]
+    sol, det = solve_square(system, len(pivots))
     mult = [_ZERO] * len(eq_rows)
-    for v, (p, _) in zip(nums, pivots):
-        mult[p] = Fraction(v, det * scale)
+    for v, (p, _) in zip(sol, pivots):
+        mult[p] = Fraction(v, det * den)
     return mult
-
-
-def _eq_multipliers(eq_rows, pivots, reduced, mu_red):
-    """Multipliers over the equality rows equal to the combination mu_red
-    of the reduced rows, each taken with rhs >= 0 as the simplex uses it.
-
-    A reduced row is (pivot block)^-1 times the pivot rows, so the
-    combination is the one of the pivot rows that equals mu_red, with each
-    row's sign flip folded in, on the pivot columns.
-    """
-    signed = [-m if row[-1] < 0 else m for m, row in zip(mu_red, reduced)]
-    return _pivot_combination(eq_rows, pivots, signed)
 
 
 def _primitive(row):
@@ -167,41 +155,35 @@ def _primitive(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _solve_nonneg(eq_rows, le_rows, nvars):
-    """Feasibility of {A_eq x = b_eq, A_le x <= b_le, x >= 0} for integer
-    A_eq, A_le and int or Fraction b_eq, b_le >= 0, by a phase-1 simplex on
-    an integer tableau.
+def _solve_nonneg(eq_rows, nvars):
+    """Feasibility of {A w = b, w >= 0, w_1 + ... + w_nvars <= 2} for
+    integer rows [A | b], the weight system in w = 2z, by a phase-1
+    simplex on an integer tableau.
 
-    Returns (True, x, None) or (False, None, multipliers) where the
-    multipliers are per input row, ordered eq rows then le rows, oriented
-    so that the combined row has coefficients >= 0 and constant < 0.
+    Returns (True, z, None) or (False, None, multipliers), both in z: the
+    witness is w / 2, and the multipliers are one per eq row then one for
+    the sum row, oriented so that the combined z row has coefficients >= 0
+    and constant < 0. Each w row is twice its z row, so a certificate of
+    the w rows certifies the z rows times any positive factor: the
+    simplex's phase-1 duals are kept as they are, and the presolve's
+    multipliers, whose w constant is -1, are doubled to make the z
+    constant -1.
     """
-    for coeffs, rhs in le_rows:
-        if rhs < 0:
-            raise InternalError("le rows with negative rhs are not used here")
-
     status, presolved = _presolve(eq_rows, nvars)
     if status == "infeasible":
-        return False, None, list(presolved) + [_ZERO] * len(le_rows)
+        return False, None, [2 * m for m in presolved] + [_ZERO]
     reduced, pivots = presolved
 
     # Every tableau row is an integer vector known only up to a positive
     # factor: the rational row is the integer one divided by its entry on
-    # its basic column. Slacks start basic on the le rows, artificials on
-    # the reduced equality rows, each row negated where needed so that its
-    # rhs is >= 0; the multipliers of an infeasible answer fold the sign
-    # back in.
+    # its basic column. The slack starts basic on the sum row
+    # [1 ... 1 | 1 | 0 ... | 2], artificials on the reduced equality rows,
+    # each row negated where needed so that its rhs is >= 0; the
+    # multipliers of an infeasible answer fold the sign back in.
     n_eq = len(reduced)
-    n_le = len(le_rows)
-    n_cols = nvars + n_le + n_eq  # x, slacks, artificials
-    rows = []
-    basis = []
-    for k, (coeffs, rhs) in enumerate(le_rows):
-        den = rhs.denominator
-        row = [den * v for v in coeffs] + [0] * (n_le + n_eq) + [rhs.numerator]
-        row[nvars + k] = den
-        rows.append(_primitive(row))
-        basis.append(nvars + k)
+    n_cols = nvars + 1 + n_eq  # w, the slack, artificials
+    rows = [[1] * (nvars + 1) + [0] * n_eq + [2]]
+    basis = [nvars]
     # The phase-1 cost row (minimize the artificial sum) has its basic
     # columns priced out and one positive denominator: the rational cost
     # is cost / cden, and cost[-1] / cden is -objective. Every reduced row
@@ -212,12 +194,12 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         cden = red[c]
         if red[-1] < 0:
             red = [-v for v in red]
-        row = red[:-1] + [0] * (n_le + n_eq) + [red[-1]]
-        row[nvars + n_le + j] = cden
+        row = red[:-1] + [0] * (1 + n_eq) + [red[-1]]
+        row[nvars + 1 + j] = cden
         cost = [a - b for a, b in zip(cost, row)]
         rows.append(_primitive(row))
-        basis.append(nvars + n_le + j)
-    for j in range(nvars + n_le, n_cols):
+        basis.append(nvars + 1 + j)
+    for j in range(nvars + 1, n_cols):
         cost[j] += cden
 
     # Bland's rule on a fixed column order guarantees termination and a
@@ -264,33 +246,37 @@ def _solve_nonneg(eq_rows, le_rows, nvars):
         basis[leave] = enter
 
     if cost[-1] == 0:
-        x = [_ZERO] * nvars
+        z = [_ZERO] * nvars
         for row, b in zip(rows, basis):
             if b < nvars:
-                x[b] = Fraction(row[-1], row[b])
-        return True, x, None
+                z[b] = Fraction(row[-1], 2 * row[b])
+        return True, z, None
 
-    # Infeasible: recover row multipliers from the reduced costs of the
-    # initial basis columns, then push them back through the presolve.
-    mu_le = [Fraction(cost[nvars + k], cden) for k in range(n_le)]
-    mu_red = [Fraction(cost[nvars + n_le + j] - cden, cden) for j in range(n_eq)]
-    return False, None, _eq_multipliers(eq_rows, pivots, reduced, mu_red) + mu_le
+    # Infeasible: the reduced costs of the initial basis columns are the
+    # row multipliers over cden. A reduced row is (pivot block)^-1 times
+    # the pivot rows, so its multipliers, with each row's sign flip folded
+    # in, go back to the eq rows by one solve on the pivot columns.
+    nums = [
+        (cden - v if red[-1] < 0 else v - cden)
+        for v, red in zip(cost[nvars + 1:n_cols], reduced)
+    ]
+    mult = _pivot_combination(eq_rows, pivots, nums, cden)
+    return False, None, mult + [Fraction(cost[nvars], cden)]
 
 
 def _solve_reduced_system(n, support, fixed):
-    free = [i for i in range(1, n + 1) if i not in fixed]
-    nvars = len(free)
+    # the rows [bits | 1] of the arrangement in w = 2z, on the free columns;
     # duplicate rows need no filter: the presolve never pivots on a later
     # copy, which eliminates to 0 == 0 and gets multiplier 0
-    rows = []
-    for m in support:
-        bits = mask_bits(m, n)
-        rows.append(([bits[i - 1] for i in free], _HALF))
-    feasible, x, mult = _solve_nonneg(rows, [([1] * nvars, _ONE)], nvars)
+    free = [i for i in range(1, n + 1) if i not in fixed]
+    rows = [mask_bits(m, n) + (1,) for m in support]
+    if fixed:
+        rows = [[row[i - 1] for i in free] + [1] for row in rows]
+    feasible, x, mult = _solve_nonneg(rows, len(free))
     if feasible:
         z = [_ZERO] * n
-        for pos, i in enumerate(free):
-            z[i - 1] = x[pos]
+        for i, v in zip(free, x):
+            z[i - 1] = v
         return FeasibilityResult(True, witness=WeightVector(tuple(z)))
     return FeasibilityResult(False, certificate=FarkasWitness(tuple(mult)))
 
@@ -395,9 +381,10 @@ def verify_result(g: ReducedFn, result: FeasibilityResult, fixed: Iterable[int] 
 
     Feasible answers are checked against every support equation, the sign
     constraints and the sum bound; infeasible answers are checked by
-    multiplying out the certificate. Returns False on any violation.
+    multiplying out the certificate. Returns False on any violation, and
+    raises SchemaError for a fixed bit outside 1..n.
     """
-    return _verify_reduced(g.n, g.support, result, frozenset(fixed))
+    return _verify_reduced(g.n, g.support, result, _fixed_bit_set(g.n, fixed))
 
 
 def _scaled(values):

@@ -149,6 +149,18 @@ def test_arity_guards():
         reproduce_tables(5)
 
 
+@pytest.mark.parametrize("n", [-1, 0, True])
+@pytest.mark.parametrize(
+    "entry",
+    [classify_all, maximal_feasible, nontrivial_catalog, lambda n: list(enumerate_reduced(n))],
+    ids=["classify_all", "maximal_feasible", "nontrivial_catalog", "enumerate_reduced"],
+)
+def test_arity_gate_rejects_non_positive_and_bool(entry, n):
+    # -1 used to raise ValueError, 0 to return [] and True a record with n=True
+    with pytest.raises(SchemaError, match="arity must be a positive integer"):
+        entry(n)
+
+
 def test_orbit_canonicalization():
     a = masks(4, "1100", "1010", "1001", "0111")
     b = masks(4, "0011", "0101", "1001", "1110")  # relabelled image of a

@@ -148,6 +148,8 @@ def test_constructor_validation():
     with pytest.raises(ArityTooLargeError):
         PartialBooleanFn(25)
     with pytest.raises(SchemaError):
+        PartialBooleanFn(True)
+    with pytest.raises(SchemaError):
         string_to_mask("10", 3)
     with pytest.raises(SchemaError):
         string_to_mask("1a0", 3)

@@ -9,7 +9,7 @@ import pytest
 from exact1q.core import PartialBooleanFn, diff_set, from_strings, sign_vector, string_to_mask
 from exact1q.errors import ConstantFunctionError, SchemaError
 from exact1q.feasibility import (
-    _eq_multipliers,
+    _pivot_combination,
     _presolve,
     FarkasWitness,
     FeasibilityResult,
@@ -240,6 +240,17 @@ def test_fixed_zeros_validation():
         decide_with_fixed_zeros(g(2, "10"), {3})
 
 
+@pytest.mark.parametrize("bit", [0, 3])
+def test_verify_result_rejects_fixed_bits_outside_1_to_n(bit):
+    # bit 0 used to check the last weight, wrongly rejecting the valid
+    # witness (0, 1/2) of {01, 11}, and bit n + 1 to raise IndexError
+    inst = g(2, "01", "11")
+    res = decide_reduced(inst)
+    assert res.witness.z == (0, F(1, 2))
+    with pytest.raises(SchemaError, match=rf"fixed bits \[{bit}\] outside 1\.\.2"):
+        verify_result(inst, res, fixed=[bit])
+
+
 def test_verify_result_rejects_corrupted_answers():
     inst = g(3, "110", "101", "011")
     res = decide_reduced(inst)
@@ -291,12 +302,13 @@ def test_every_answer_verifies_n3(records3):
 
 
 def _check_presolve(eq_rows, nvars):
-    """The integer presolve agrees with the rational oracle: same status,
-    same pivot rows, same reduced rows, and the same multipliers on both
-    infeasible branches. For the simplex branch the rebuild is linear in
-    the reduced-row combination, so each unit combination is checked."""
+    """The integer presolve of rows [a | b] agrees with the rational oracle
+    on the pairs (a, b): same status, same pivot rows, same reduced rows,
+    and the same multipliers on both infeasible branches. For the simplex
+    branch the rebuild is linear in the reduced-row combination, so each
+    unit combination is checked, over denominators 1 and 7."""
     got = _presolve(eq_rows, nvars)
-    want = bf_presolve(eq_rows, nvars)
+    want = bf_presolve([(row[:-1], row[-1]) for row in eq_rows], nvars)
     assert got[0] == want[0]
     if want[0] == "infeasible":
         assert got[1] == want[1]
@@ -309,17 +321,17 @@ def _check_presolve(eq_rows, nvars):
         ([F(v, row[c]) for v in row[:-1]], F(row[-1], row[c])) for row, (_, c) in zip(rows, pivots)
     ]
     assert rational == [(coeffs, rhs) for coeffs, rhs, _ in want[1]]
-    for j, (_, rhs, comb) in enumerate(want[1]):
-        unit = [F(int(i == j)) for i in range(len(rows))]
-        sign = -1 if rhs < 0 else 1
-        assert _eq_multipliers(eq_rows, pivots, rows, unit) == [sign * c for c in comb]
+    for j, (_, _, comb) in enumerate(want[1]):
+        for den in (1, 7):
+            nums = [den * int(i == j) for i in range(len(rows))]
+            assert _pivot_combination(eq_rows, pivots, nums, den) == comb
     return want[0]
 
 
 def _reduced_rows(n, support, fixed=()):
     free = [i for i in range(1, n + 1) if i not in fixed]
-    # duplicate rows are kept, as the solver keeps them
-    return [([bit(m, i, n) for i in free], F(1, 2)) for m in support], len(free)
+    # the rows [bits | 1] in w = 2z; duplicate rows are kept, as the solver keeps them
+    return [[bit(m, i, n) for i in free] + [1] for m in support], len(free)
 
 
 def test_presolve_matches_oracle_n_le_3():
@@ -385,7 +397,7 @@ def test_presolve_matches_oracle_unreduced_n10_13():
     seen = set()
     for f in seeded_functions((10, 11, 12, 13)):
         n = f.n
-        rows = [([1] * (n + 1), F(1))] + [(list(sign_vector(d, n)), F(0)) for d in diff_set(f)]
+        rows = [[1] * (n + 2)] + [list(sign_vector(d, n)) + [0] for d in diff_set(f)]
         seen.add(_check_presolve(rows, n + 1))
     assert seen == {"infeasible", "reduced"}
 
@@ -419,5 +431,7 @@ def test_presolve_matches_oracle_random_integer_rows():
                 coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(nvars)]
                 rhs = F(rng.randint(-3, 3), rng.randint(1, 3))
             rows.append((coeffs, rhs))
-        statuses[_check_presolve(rows, nvars)] += 1
+        # each row [a | b] scaled to integers by the denominator of b
+        int_rows = [[v * rhs.denominator for v in coeffs] + [rhs.numerator] for coeffs, rhs in rows]
+        statuses[_check_presolve(int_rows, nvars)] += 1
     assert statuses == {"infeasible": 248, "reduced": 152}
