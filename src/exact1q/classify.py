@@ -1,21 +1,21 @@
 """Exhaustive classification of reduced functions at small arity.
 
-Full-subset mode classifies every nonempty support over the nonzero
-masks (gated to n <= 4; that is 32767 supports at n=4). It walks the
-subset lattice levelwise, by support size: feasibility is closed under
-taking subsets, so a support is decided only when every immediate subset
-(one mask dropped) is feasible, and every other support is recorded
-infeasible without a solve. At n=4 that is 2487 solves, not 32767.
-At n=5 only witness-first mode is available: the maximal feasible
-supports are recovered from the vertices of the weight-constraint
-arrangement instead of walking all 2**31 subsets. The vertices are
-found in integers (fraction-free elimination, Cramer form) and only for
-orbit representatives under bit relabelling, then closed under the n!
+Every record is read from one table of the vertices of the weight
+arrangement: the level hyperplanes, the sign walls and the sum wall,
+inside the simplex z >= 0, sum(z) <= 1. A support is feasible iff it
+lies in the 1-class of some vertex, and a bit is removable iff some
+such vertex weights it 0. Only a feasible record solves an LP, for its
+witness. Full-subset mode reads every nonempty support over the nonzero
+masks (gated to n <= 4; 32767 supports, 25 vertices and 2195 LPs at
+n=4). At n=5 only the maximal feasible supports are read: the maximal
+1-classes of the 148 vertices, 142 supports and 142 LPs, with no walk
+over the 2**31 subsets. The vertices are found in integers
+(fraction-free elimination, Cramer form) and only for orbit
+representatives under bit relabelling, then closed under the n!
 relabellings. The systems are walked depth-first, one row at a time, so
 systems that share rows share their elimination: at n=5, 10,309 row
 steps and 7,960 solution lines close 67,309 systems (76,020 square
-solves one system at a time, 435,897 without orbits), for 148 vertices
-and 142 maximal supports.
+solves one system at a time, 435,897 without orbits).
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -26,9 +26,10 @@ the bundled catalog rows and itemizes every disagreement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from . import catalog
@@ -44,7 +45,6 @@ from .errors import ArityTooLargeError, InternalError
 from .feasibility import (
     FeasibilityResult,
     WeightVector,
-    _fixed_bit_set,
     decide_reduced,
     decide_with_fixed_zeros,
     verify_result,
@@ -149,46 +149,6 @@ def is_dj_computable(n: int, support: Sequence[int]) -> bool:
     return _key_dj_computable(n, _support_key(support))
 
 
-def removable_bits(g: ReducedFn, candidates: Iterable[int] | None = None) -> tuple[int, ...]:
-    """Bits whose query weight can be zero in some feasible assignment.
-
-    Only bits in `candidates` (default: every bit; SchemaError for one
-    outside 1..n) can be reported. A bit whose weight is already zero in
-    the `decide_reduced` witness needs no probe; every other candidate is
-    probed with its weight pinned to zero.
-    """
-    bits = range(1, g.n + 1) if candidates is None else sorted(_fixed_bit_set(g.n, candidates))
-    res = decide_reduced(g)
-    if not res.feasible:
-        return ()
-    return tuple(
-        i
-        for i in bits
-        if res.witness.z[i - 1] == 0 or decide_with_fixed_zeros(g, {i}).feasible
-    )
-
-
-def _record(
-    n: int, key: int, witness: WeightVector | None, removable: tuple[int, ...]
-) -> ClassificationRecord:
-    return ClassificationRecord(
-        n=n,
-        support=_key_support(key),
-        feasible=witness is not None,
-        witness=witness,
-        symmetric=_key_symmetric(n, key),
-        dj_computable=_key_dj_computable(n, key),
-        removable_bits=removable,
-    )
-
-
-def _classify_support(
-    n: int, key: int, candidates: Iterable[int] | None = None
-) -> ClassificationRecord:
-    g = ReducedFn(n, _key_support(key))
-    return _record(n, key, decide_reduced(g).witness, removable_bits(g, candidates))
-
-
 def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
     """Each distinct support key mapped to its first maximal strict
     superset among `keys`, or to None when it is maximal.
@@ -207,49 +167,51 @@ def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
     return parents
 
 
-def _levelwise(n: int) -> list[ClassificationRecord]:
-    """Walk the supports by size, deciding only those whose immediate
-    subsets are all feasible.
+def _records(n: int, keys: Iterable[int], table: dict[int, int]) -> list[ClassificationRecord]:
+    """The record of each support key in `keys`, in that order, read from
+    the vertex table of arity n (`_vertex_table`).
 
-    Any other support is infeasible: the Farkas certificate of an
-    infeasible subset, padded with zero multipliers, certifies it. Bit
-    removability is subset-closed too (a zero-weight witness for a support
-    serves each of its subsets), so a candidate probes only the bits that
-    every immediate subset can drop. Feasible records are then marked
-    maximal or given their first maximal superset (`_inclusion`).
+    A key is feasible iff some class key of the table contains it, and its
+    removable bits are the union of the zero bits of the class keys that
+    do. This is exact: for a support S with bits F pinned to zero, the
+    polytope {S's rows, z >= 0, sum(z) <= 1, z_F = 0} is bounded, so if it
+    is nonempty it has a vertex made of n independent tight rows of the
+    arrangement, which the table lists with a 1-class containing S and
+    weight 0 on F. The witness is the LP's (`decide_reduced`), solved for
+    feasible keys only. Feasible keys are marked maximal or given their
+    first maximal superset among the feasible keys in `keys` (`_inclusion`).
     """
-    n_masks = (1 << n) - 1
-    # removable bits of every feasible support met so far, by support key;
-    # the empty support is feasible with every bit removable
-    removable: dict[int, frozenset[int]] = {0: frozenset(range(1, n + 1))}
-    records: dict[int, ClassificationRecord] = {}
-    layer = [0]
-    while layer:
-        # candidates have one mask more than the layer's supports, so
-        # recording one cannot change which of the others are decided
-        larger = []
-        for key in layer:
-            # a candidate is generated once, from its subset without its top mask
-            for b in range(key.bit_length(), n_masks):
-                cand = key | 1 << b
-                subsets = [cand ^ 1 << c for c in range(b + 1) if cand >> c & 1]
-                if all(s in removable for s in subsets):
-                    common = frozenset.intersection(*(removable[s] for s in subsets))
-                    rec = records[cand] = _classify_support(n, cand, common)
-                    if rec.feasible:
-                        removable[cand] = frozenset(rec.removable_bits)
-                        larger.append(cand)
-        layer = larger
-    parents = _inclusion(key for key in removable if key)
-    out = []
-    for key in range(1, 1 << n_masks):
-        rec = records[key] if key in records else _record(n, key, None, ())
-        if key in parents:
-            parent = parents[key]
-            included_by = None if parent is None else _key_support(parent)
-            rec = replace(rec, maximal=parent is None, included_by=included_by)
-        out.append(rec)
-    return out
+    zeros: dict[int, int | None] = {}
+    for key in keys:
+        covers = [bits for cls, bits in table.items() if key & cls == key]
+        zeros[key] = reduce(operator.or_, covers) if covers else None
+    parents = _inclusion(key for key, bits in zeros.items() if bits is not None)
+    records = []
+    for key, bits in zeros.items():
+        support = _key_support(key)
+        witness = parent = None
+        if bits is not None:
+            res = decide_reduced(ReducedFn(n, support))
+            if not res.feasible:
+                raise InternalError(
+                    f"the LP finds no witness for {_mask_labels(n, support)}, "
+                    f"which an arrangement vertex covers"
+                )
+            witness, parent = res.witness, parents[key]
+        records.append(
+            ClassificationRecord(
+                n=n,
+                support=support,
+                feasible=bits is not None,
+                witness=witness,
+                symmetric=_key_symmetric(n, key),
+                dj_computable=_key_dj_computable(n, key),
+                removable_bits=_key_support(bits or 0),
+                maximal=bits is not None and parent is None,
+                included_by=None if parent is None else _key_support(parent),
+            )
+        )
+    return records
 
 
 def classify_all(n: int) -> list[ClassificationRecord]:
@@ -260,7 +222,7 @@ def classify_all(n: int) -> list[ClassificationRecord]:
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
         )
-    return _levelwise(n)
+    return _records(n, range(1, 1 << ((1 << n) - 1)), _vertex_table(n))
 
 
 def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
@@ -271,19 +233,17 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
     """
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
-    if n <= FULL_MODE_MAX:
-        yield from classify_all(n)
-    else:
-        yield from _vertex_mode_records(n)
+    yield from classify_all(n) if n <= FULL_MODE_MAX else maximal_feasible(n)
 
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
-    """Feasible supports with no feasible strict superset."""
+    """Feasible supports with no feasible strict superset, in support-key
+    order: the maximal class keys of the vertex table."""
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
-    if n <= FULL_MODE_MAX:
-        return [r for r in classify_all(n) if r.maximal]
-    return _vertex_mode_records(n)
+    table = _vertex_table(n)
+    maximal = sorted(key for key, parent in _inclusion(table).items() if parent is None)
+    return _records(n, maximal, table)
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
@@ -303,9 +263,9 @@ def _nontrivial_maximal(records: Iterable[ClassificationRecord]) -> list[Classif
 
 
 # ---------------------------------------------------------------------------
-# Witness-first mode: maximal supports from arrangement vertices.
-# Every step before the records stays in Python ints; a support's witness
-# still comes from decide_reduced, so vertices never become Fractions.
+# The vertex table: 1-classes of the arrangement vertices.
+# Every step stays in Python ints; a record's witness comes from
+# decide_reduced, so vertices never become Fractions.
 # ---------------------------------------------------------------------------
 
 def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
@@ -378,30 +338,24 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
-def _one_class(nums: Sequence[int], det: int, n: int) -> tuple[int, ...]:
-    """Masks m with sum(z over m's bits) = 1/2, for z = nums / (2 * det)."""
-    return tuple(
-        mask
-        for mask in range(1, 1 << n)
-        if sum(v for v, b in zip(nums, mask_bits(mask, n)) if b) == det
-    )
+def _vertex_table(n: int) -> dict[int, int]:
+    """The nonempty 1-class keys of the arrangement vertices
+    (`_vertex_witnesses`), each mapped to the bits that some vertex with
+    that class weights 0, as a key of bit indices (`_support_key`).
 
-
-def _vertex_mode_records(n: int) -> list[ClassificationRecord]:
-    classes: set[tuple[int, ...]] = set()
+    The 1-class of z = nums / (2 * det) holds the masks whose bits' weights
+    sum to 1/2, that is whose nums sum to det. At n=4 the 25 vertices give
+    20 class keys and at n=5 the 148 give 142, every one of them maximal.
+    """
+    table: dict[int, int] = {}
     for nums, det in _vertex_witnesses(n):
-        cls = _one_class(nums, det, n)
-        if cls:
-            classes.add(cls)
-    parents = _inclusion(_support_key(c) for c in classes)
-    maximal = sorted(key for key, parent in parents.items() if parent is None)
-    records = []
-    for key in maximal:
-        rec = _classify_support(n, key)
-        if not rec.feasible:
-            raise InternalError("vertex-mode support must be feasible")
-        records.append(replace(rec, maximal=True))
-    return records
+        key = _support_key(
+            [m for m in range(1, 1 << n) if sum(v for v, b in zip(nums, mask_bits(m, n)) if b) == det]
+        )
+        if key:
+            zero_bits = _support_key([i for i, v in enumerate(nums, 1) if v == 0])
+            table[key] = table.get(key, 0) | zero_bits
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -308,11 +308,14 @@ def decide_with_fixed_zeros(g: ReducedFn, fixed: Iterable[int]) -> FeasibilityRe
 
 
 def _fixed_bit_set(n: int, bits: Iterable[int]) -> frozenset[int]:
-    """`bits` as a set of bit indices, or SchemaError if one is outside 1..n."""
-    fixed = frozenset(bits)
-    if not fixed <= set(range(1, n + 1)):
-        raise SchemaError(f"fixed bits {sorted(fixed)} outside 1..{n}")
-    return fixed
+    """`bits` as a set of bit indices, or SchemaError naming those that are
+    not an int in 1..n. A bool is not a bit index, as it is not an arity
+    (`core.check_arity`): True would otherwise pin bit 1."""
+    bits = tuple(bits)
+    bad = [i for i in bits if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n]
+    if bad:
+        raise SchemaError(f"fixed bits {bad} outside 1..{n}")
+    return frozenset(bits)
 
 
 def decide(f: PartialBooleanFn) -> FeasibilityResult:

@@ -100,10 +100,12 @@ def test_c2_four_bit_headline(records4):
     assert len(records4) == 32767
     by_support = {rec.support: rec for rec in records4}
 
-    # every answer across the full enumeration re-verifies
+    # every LP answer across the full enumeration re-verifies and agrees
+    # with the feasibility the enumeration read from the vertex table
     for rec in records4:
         res = decide_reduced(ReducedFn(4, rec.support))
         assert verify_result(ReducedFn(4, rec.support), res)
+        assert res.feasible == rec.feasible, rec.support
 
     # the ten claimed supports: all feasible, none symmetric, none inside
     # a reachable level
@@ -253,7 +255,7 @@ def test_c5_oracle_equivalence(records3, records4):
         assert rec.feasible == bf_feasible(3, rec.support), rec.support
 
     # the sampled supports are checked both as solved directly and as
-    # recorded by the levelwise enumeration, which skips most solves
+    # recorded by the enumeration, which reads them from the vertex table
     rnd = random.Random(20260810)
     keys = rnd.sample(range(1, 1 << 15), 2000)
     for key in keys:

@@ -8,7 +8,6 @@ from exact1q.classify import (
     maximal_feasible,
     nontrivial_catalog,
     orbit_canonical,
-    removable_bits,
     reproduce_tables,
 )
 from exact1q.core import string_to_mask
@@ -104,8 +103,8 @@ def test_enumerate_matches_classify(records3):
 
 
 def test_removable_bits_match_direct_probes(records3, records4):
-    # probes skipped by subset pruning or by a zero witness weight must not
-    # change the answer of probing every bit
+    # the removable bits read from the vertex table are those the LP finds
+    # by pinning each bit to zero in turn
     from exact1q.feasibility import decide_with_fixed_zeros
     from exact1q.reduction import ReducedFn
 
@@ -120,22 +119,21 @@ def test_removable_bits_match_direct_probes(records3, records4):
             assert rec.removable_bits == direct, rec.support
 
 
-@pytest.mark.parametrize("bit", [0, 3])
-def test_removable_bits_rejects_candidates_outside_1_to_n(bit):
-    # bit 0 used to read the last weight and bit n + 1 to raise IndexError
-    from exact1q.reduction import ReducedFn
-
-    with pytest.raises(SchemaError, match=rf"fixed bits \[{bit}\] outside 1\.\.2"):
-        removable_bits(ReducedFn(2, [2]), [bit])
-
-
-def test_levelwise_solve_count():
-    # 2487 feasibility solves plus 617 bit probes, out of 32767 supports
+@pytest.mark.parametrize(
+    "entry, n, lps",
+    [(classify_all, 4, 2195), (maximal_feasible, 5, 142)],
+    ids=["classify_all-4", "maximal_feasible-5"],
+)
+def test_one_lp_per_feasible_record(entry, n, lps):
+    # feasibility and removable bits come from the vertex table, so the only
+    # LPs are the witnesses of the feasible records: no infeasible support
+    # and no pinned bit is solved
     from exact1q.feasibility import _decide_cached
 
     _decide_cached.cache_clear()
-    classify_all(4)
-    assert _decide_cached.cache_info().misses == 3104
+    records = entry(n)
+    assert sum(rec.feasible for rec in records) == lps
+    assert _decide_cached.cache_info().misses == lps
 
 
 def test_arity_guards():
@@ -169,11 +167,10 @@ def test_orbit_canonicalization():
     assert len(orbits) == 1
 
 
-def test_witness_first_mode_matches_full_mode_maximal():
-    for n in (2, 3):
-        full = {rec.support for rec in classify_all(n) if rec.maximal}
-        vertex = {rec.support for rec in maximal_feasible(n)}
-        assert vertex == full
+def test_witness_first_mode_matches_full_mode_maximal(records3, records4):
+    # the maximal records of the full run, flags and witnesses included
+    for n, records in ((2, classify_all(2)), (3, records3), (4, records4)):
+        assert maximal_feasible(n) == [rec for rec in records if rec.maximal]
 
 
 def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
@@ -278,17 +275,9 @@ def test_reproduce_tables_classifies_once(monkeypatch):
     from exact1q import classify
 
     calls = []
-    levelwise = classify._levelwise
+    vertices = classify._vertex_witnesses
     monkeypatch.setattr(
-        classify, "_levelwise", lambda n: calls.append(n) or levelwise(n)
+        classify, "_vertex_witnesses", lambda n: calls.append(n) or vertices(n)
     )
     reproduce_tables(3)
     assert calls == [3]
-
-
-def test_maximal_feasible_n4_vertex_cross_check(records4):
-    from exact1q.classify import _vertex_mode_records
-
-    full = {rec.support for rec in records4 if rec.maximal}
-    vertex = {rec.support for rec in _vertex_mode_records(4)}
-    assert vertex == full

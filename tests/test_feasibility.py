@@ -238,12 +238,16 @@ def test_fixed_zero_probe_on_mask_inside_fixed_bits():
 def test_fixed_zeros_validation():
     with pytest.raises(SchemaError):
         decide_with_fixed_zeros(g(2, "10"), {3})
+    # True used to pin bit 1, since frozenset({True}) <= {1, 2}
+    with pytest.raises(SchemaError, match=r"fixed bits \[True\] outside 1\.\.2"):
+        decide_with_fixed_zeros(g(2, "10"), [True])
 
 
-@pytest.mark.parametrize("bit", [0, 3])
+@pytest.mark.parametrize("bit", [0, 3, True])
 def test_verify_result_rejects_fixed_bits_outside_1_to_n(bit):
     # bit 0 used to check the last weight, wrongly rejecting the valid
-    # witness (0, 1/2) of {01, 11}, and bit n + 1 to raise IndexError
+    # witness (0, 1/2) of {01, 11}, bit n + 1 to raise IndexError, and
+    # True to check bit 1
     inst = g(2, "01", "11")
     res = decide_reduced(inst)
     assert res.witness.z == (0, F(1, 2))
@@ -346,9 +350,9 @@ def test_presolve_matches_oracle_n_le_3():
 
 
 def _walk_solved(records4):
-    """Every n=4 support the levelwise walk solves, in support-key order:
-    the feasible ones and the infeasible ones whose immediate subsets are
-    all feasible."""
+    """The n=4 supports that are feasible or whose immediate subsets (one
+    mask dropped) are all feasible, in support-key order: the feasible
+    supports and the minimal infeasible ones."""
     feasible = {r.support for r in records4 if r.feasible}
     solved = [
         r.support
@@ -367,7 +371,7 @@ def test_presolve_matches_oracle_records4(records4):
 
 def _small_queries(records4):
     """(n, support, fixed) for each n <= 3 support with each fixed set, then
-    each n=4 support the walk solves with no bit or one bit fixed: 13,481."""
+    each `_walk_solved` n=4 support with no bit or one bit fixed: 13,481."""
     queries = [
         (n, support, frozenset(fixed))
         for n in (1, 2, 3)
