@@ -3,19 +3,17 @@
 Every record is read from one table of the vertices of the weight
 arrangement: the level hyperplanes, the sign walls and the sum wall,
 inside the simplex z >= 0, sum(z) <= 1. A support is feasible iff it
-lies in the 1-class of some vertex, and a bit is removable iff some
-such vertex weights it 0. Only a feasible record solves an LP, for its
-witness. Full-subset mode reads every nonempty support over the nonzero
-masks (gated to n <= 4; 32767 supports, 25 vertices and 2195 LPs at
-n=4). At n=5 only the maximal feasible supports are read: the maximal
-1-classes of the 148 vertices, 142 supports and 142 LPs, with no walk
-over the 2**31 subsets. The vertices are found in integers
-(fraction-free elimination, Cramer form) and only for orbit
-representatives under bit relabelling, then closed under the n!
-relabellings. The systems are walked depth-first, one row at a time, so
-systems that share rows share their elimination: at n=5, 10,309 row
-steps and 7,960 solution lines close 67,309 systems (76,020 square
-solves one system at a time, 435,897 without orbits).
+lies in the 1-class of some vertex, a bit is removable iff some such
+vertex weights it 0, and the witness is the first such vertex in
+reversed-z order. No LP is solved: each vertex is verified once, on its
+whole 1-class with its zero bits pinned. Full-subset mode reads every
+nonempty support over the nonzero masks (gated to n <= 4; 32767
+supports and 20 table rows at n=4). At n=5 only the maximal feasible
+supports are read, the 142 maximal 1-classes of the 148 vertices, with
+no walk over the 2**31 subsets. The vertices are found in integers
+(fraction-free elimination, Cramer form, depth-first over shared row
+prefixes) and only for orbit representatives under bit relabelling,
+then closed under the n! relabellings.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -33,23 +31,11 @@ from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from . import catalog
-from .core import (
-    check_arity,
-    hamming_weight,
-    mask_bits,
-    mask_to_string,
-    permute_mask,
-    string_to_mask,
-)
+from .core import check_arity, hamming_weight, mask_bits, mask_to_string, permute_mask, string_to_mask
 from .errors import ArityTooLargeError, InternalError
-from .feasibility import (
-    FeasibilityResult,
-    WeightVector,
-    decide_reduced,
-    decide_with_fixed_zeros,
-    verify_result,
-)
+from .feasibility import FeasibilityResult, WeightVector, verify_result
 from .intlinalg import close_line, extend_echelon, solution_line
+from .poly import input_classes
 from .reduction import ReducedFn
 
 FULL_MODE_MAX = 4
@@ -167,51 +153,44 @@ def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
     return parents
 
 
-def _records(n: int, keys: Iterable[int], table: dict[int, int]) -> list[ClassificationRecord]:
+def _records(n: int, keys: Iterable[int], table: list) -> list[ClassificationRecord]:
     """The record of each support key in `keys`, in that order, read from
-    the vertex table of arity n (`_vertex_table`).
+    the rows of the vertex table of arity n (`_vertex_table`) that cover it.
 
-    A key is feasible iff some class key of the table contains it, and its
-    removable bits are the union of the zero bits of the class keys that
-    do. This is exact: for a support S with bits F pinned to zero, the
-    polytope {S's rows, z >= 0, sum(z) <= 1, z_F = 0} is bounded, so if it
-    is nonempty it has a vertex made of n independent tight rows of the
-    arrangement, which the table lists with a 1-class containing S and
-    weight 0 on F. The witness is the LP's (`decide_reduced`), solved for
-    feasible keys only. Feasible keys are marked maximal or given their
-    first maximal superset among the feasible keys in `keys` (`_inclusion`).
+    A key is feasible iff some row's class key contains it, its removable
+    bits are the union of the zero bits of those rows, and its witness is
+    the first one's weights. This is exact: for a support S with bits F
+    pinned to zero, the polytope {S's rows, z >= 0, sum(z) <= 1, z_F = 0}
+    is bounded, so if it is nonempty it has a vertex made of n independent
+    tight rows of the arrangement, which the table lists with a 1-class
+    containing S and weight 0 on F. Feasible keys are marked maximal or
+    given their first maximal superset among the feasible keys in `keys`
+    (`_inclusion`).
     """
-    zeros: dict[int, int | None] = {}
-    for key in keys:
-        covers = [bits for cls, bits in table.items() if key & cls == key]
-        zeros[key] = reduce(operator.or_, covers) if covers else None
-    parents = _inclusion(key for key, bits in zeros.items() if bits is not None)
+    covers = {key: [row for row in table if key & row[0] == key] for key in keys}
+    parents = _inclusion(key for key, rows in covers.items() if rows)
     records = []
-    for key, bits in zeros.items():
-        support = _key_support(key)
-        witness = parent = None
-        if bits is not None:
-            res = decide_reduced(ReducedFn(n, support))
-            if not res.feasible:
-                raise InternalError(
-                    f"the LP finds no witness for {_mask_labels(n, support)}, "
-                    f"which an arrangement vertex covers"
-                )
-            witness, parent = res.witness, parents[key]
+    for key, rows in covers.items():
+        parent = parents.get(key)
         records.append(
             ClassificationRecord(
                 n=n,
-                support=support,
-                feasible=bits is not None,
-                witness=witness,
+                support=_key_support(key),
+                feasible=bool(rows),
+                witness=rows[0][2] if rows else None,
                 symmetric=_key_symmetric(n, key),
                 dj_computable=_key_dj_computable(n, key),
-                removable_bits=_key_support(bits or 0),
-                maximal=bits is not None and parent is None,
+                removable_bits=_key_support(reduce(operator.or_, (row[1] for row in rows), 0)),
+                maximal=bool(rows) and parent is None,
                 included_by=None if parent is None else _key_support(parent),
             )
         )
     return records
+
+
+def _every_key(n: int) -> range:
+    """The keys of every nonempty support over the nonzero n-bit masks."""
+    return range(1, 1 << ((1 << n) - 1))
 
 
 def classify_all(n: int) -> list[ClassificationRecord]:
@@ -222,7 +201,7 @@ def classify_all(n: int) -> list[ClassificationRecord]:
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
         )
-    return _records(n, range(1, 1 << ((1 << n) - 1)), _vertex_table(n))
+    return _records(n, _every_key(n), _vertex_table(n))
 
 
 def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
@@ -231,9 +210,7 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
     n <= 4 streams every support; n = 5 streams only the maximal feasible
     supports (witness-first mode).
     """
-    if check_arity(n) > VERTEX_MODE_MAX:
-        raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
-    yield from classify_all(n) if n <= FULL_MODE_MAX else maximal_feasible(n)
+    yield from classify_all(n) if check_arity(n) <= FULL_MODE_MAX else maximal_feasible(n)
 
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
@@ -242,8 +219,8 @@ def maximal_feasible(n: int) -> list[ClassificationRecord]:
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     table = _vertex_table(n)
-    maximal = sorted(key for key, parent in _inclusion(table).items() if parent is None)
-    return _records(n, maximal, table)
+    classes = _inclusion(cls for cls, _, _ in table)
+    return _records(n, sorted(key for key, parent in classes.items() if parent is None), table)
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
@@ -264,8 +241,8 @@ def _nontrivial_maximal(records: Iterable[ClassificationRecord]) -> list[Classif
 
 # ---------------------------------------------------------------------------
 # The vertex table: 1-classes of the arrangement vertices.
-# Every step stays in Python ints; a record's witness comes from
-# decide_reduced, so vertices never become Fractions.
+# Every step stays in Python ints; a vertex becomes Fractions once, as the
+# weights of its table row.
 # ---------------------------------------------------------------------------
 
 def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
@@ -338,24 +315,30 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
-def _vertex_table(n: int) -> dict[int, int]:
-    """The nonempty 1-class keys of the arrangement vertices
-    (`_vertex_witnesses`), each mapped to the bits that some vertex with
-    that class weights 0, as a key of bit indices (`_support_key`).
+def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
+    """One row (class key, zero-bit key, weights) per arrangement vertex
+    (`_vertex_witnesses`) with a nonempty 1-class, sorted by reversed
+    weights. Bit i is bit i - 1 of the zero-bit key.
 
-    The 1-class of z = nums / (2 * det) holds the masks whose bits' weights
-    sum to 1/2, that is whose nums sum to det. At n=4 the 25 vertices give
-    20 class keys and at n=5 the 148 give 142, every one of them maximal.
+    The 1-class of z = nums / (2 * det) is that of the polynomial
+    2z = nums / det (`poly.input_classes`). Each row is verified on its
+    whole 1-class with its zero bits pinned, so its weights are a witness
+    for every support it covers. The 25 vertices at n=4 give 20 rows, the
+    148 at n=5 give 142.
     """
-    table: dict[int, int] = {}
+    table = []
     for nums, det in _vertex_witnesses(n):
-        key = _support_key(
-            [m for m in range(1, 1 << n) if sum(v for v, b in zip(nums, mask_bits(m, n)) if b) == det]
-        )
-        if key:
-            zero_bits = _support_key([i for i, v in enumerate(nums, 1) if v == 0])
-            table[key] = table.get(key, 0) | zero_bits
-    return table
+        support = input_classes(n, nums, det).one
+        if support:
+            z = WeightVector(tuple(Fraction(v, 2 * det) for v in nums))
+            zero_bits = [i for i, v in enumerate(nums, 1) if v == 0]
+            if not verify_result(ReducedFn(n, support), FeasibilityResult(True, witness=z), zero_bits):
+                raise InternalError(
+                    f"vertex z = ({', '.join(map(str, z.z))}) does not verify on "
+                    f"its 1-class {_mask_labels(n, support)}"
+                )
+            table.append((_support_key(support), _support_key(zero_bits), z))
+    return sorted(table, key=lambda row: row[2].z[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +442,8 @@ def reproduce_tables(n: int) -> TableReport:
     if n not in (3, 4):
         raise ArityTooLargeError("catalog reproduction is defined for n in {3, 4}")
     rows = catalog.rows_for(n)
-    records = classify_all(n)
+    table = _vertex_table(n)
+    records = _records(n, _every_key(n), table)
     by_support = {r.support: r for r in records}
 
     checks: list[RowCheck] = []
@@ -502,12 +486,12 @@ def reproduce_tables(n: int) -> TableReport:
         elif row.kind == "nontrivial":
             agree = agree and rec.non_trivial
             if rec.feasible and rec.fewer_bits:
-                zero_bit = rec.removable_bits[0]
-                probe = decide_with_fixed_zeros(g, {zero_bit})
+                key, bit = _support_key(support), 1 << (rec.removable_bits[0] - 1)
+                example = next(z for cls, zeros, z in table if key & cls == key and zeros & bit)
                 notes.append(
                     f"claimed non-trivial, but query weight of bit(s) "
                     f"{','.join(map(str, rec.removable_bits))} can be zero, e.g. "
-                    f"z = ({', '.join(str(v) for v in probe.witness.z)})"
+                    f"z = ({', '.join(str(v) for v in example.z)})"
                 )
                 discrepancies.append(
                     f"row {support_label}: claimed non-trivial but bit(s) "

@@ -5,14 +5,16 @@ polynomial c_1*x_1 + ... + c_n*x_n with every c_i >= 0 and sum(c) <= 2
 (store the polynomial's own coefficients, i.e. twice the query weights,
 so evaluation needs no bookkeeping). `represent` extracts such a
 polynomial from a feasibility witness; `function_of` reads off the
-input classes a given admissible polynomial defines.
+input classes a given admissible polynomial defines, in ints
+(`input_classes`, which also serves the classifier's vertex table).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import AssignmentMask, check_arity, mask_bits, mask_to_string
 from .errors import ArityMismatchError, InvalidFormError, NotFeasibleError
@@ -83,23 +85,33 @@ class InputClasses:
         }
 
 
+def input_classes(n: int, nums: Sequence[int], den: int) -> InputClasses:
+    """Input classes of p = (nums_1*x_1 + ... + nums_n*x_n) / den, in ints.
+
+    A mask is in the 0-class when the nums of its set bits sum to 0 and in
+    the 1-class when they sum to den > 0. Admissibility is the caller's.
+    """
+    zero, one, star = [], [], []
+    for mask in range(1 << n):
+        total = sum(v for v, b in zip(nums, mask_bits(mask, n)) if b)
+        if total == 0:
+            zero.append(mask)
+        elif total == den:
+            one.append(mask)
+        else:
+            star.append(mask)
+    return InputClasses(n, tuple(zero), tuple(one), tuple(star))
+
+
 def function_of(p: Degree1Polynomial) -> InputClasses:
     """Enumerate the input classes an admissible polynomial carves out.
 
     The 1-class is the widest support any function represented by p can
     have; with strictly positive coefficients the 0-class is exactly the
     all-zeros mask. Rejects inadmissible polynomials, naming the violated
-    condition.
+    condition. Scaled by the lcm of its denominators, p is read in ints.
     """
     p.check_admissible()
     n = check_arity(p.n)
-    zero, one, star = [], [], []
-    for mask in range(1 << n):
-        v = p.evaluate(mask)
-        if v == 0:
-            zero.append(mask)
-        elif v == 1:
-            one.append(mask)
-        else:
-            star.append(mask)
-    return InputClasses(n, tuple(zero), tuple(one), tuple(star))
+    den = math.lcm(*(c.denominator for c in p.coefficients))
+    return input_classes(n, [c.numerator * (den // c.denominator) for c in p.coefficients], den)

@@ -35,6 +35,8 @@ from exact1q.core import (
 )
 from exact1q.errors import InvalidFormError, NotFeasibleError
 from exact1q.feasibility import (
+    FeasibilityResult,
+    WeightVector,
     decide,
     decide_reduced,
     decide_with_fixed_zeros,
@@ -73,11 +75,39 @@ DERIVED_FOUR = [
     masks(4, "1001", "0101", "0011", "1110"),
 ]
 
+# The n=4 supports whose vertex-table witness (the first covering vertex
+# in reversed-z order) differs from the LP's: one orbit under relabelling.
+# On the first the LP gives z = (1/2, 0, 0, 1/2) and the table (0, 1/4, 1/4, 1/4).
+WITNESS_MOVED = [
+    masks(4, "0011", "0101", "1110"),
+    masks(4, "0011", "1001", "1110"),
+    masks(4, "0101", "1001", "1110"),
+]
+
+
+def lp_witness_moves(n, records):
+    """Solve every record's support by LP, check that the LP agrees on
+    feasibility and that both answers verify, and return the supports whose
+    record witness is not the LP's."""
+    moved = []
+    for rec in records:
+        g = ReducedFn(n, rec.support)
+        res = decide_reduced(g)
+        assert verify_result(g, res)
+        assert res.feasible == rec.feasible, rec.support
+        if rec.feasible and rec.witness != res.witness:
+            assert verify_result(g, FeasibilityResult(True, witness=rec.witness))
+            moved.append(rec.support)
+    return moved
+
 
 def test_c1_three_bit_completeness(records3):
     t0 = time.time()
     assert len(records3) == 127
     assert all(not rec.non_trivial for rec in records3)
+    # the LP, an independent route, gives every record's feasibility and
+    # witness
+    assert lp_witness_moves(3, records3) == []
 
     by_support = {rec.support: rec for rec in records3}
     for rec in records3:
@@ -101,11 +131,9 @@ def test_c2_four_bit_headline(records4):
     by_support = {rec.support: rec for rec in records4}
 
     # every LP answer across the full enumeration re-verifies and agrees
-    # with the feasibility the enumeration read from the vertex table
-    for rec in records4:
-        res = decide_reduced(ReducedFn(4, rec.support))
-        assert verify_result(ReducedFn(4, rec.support), res)
-        assert res.feasible == rec.feasible, rec.support
+    # with the feasibility the enumeration read from the vertex table, and
+    # with its witness on all but the three declared supports
+    assert sorted(lp_witness_moves(4, records4)) == WITNESS_MOVED
 
     # the ten claimed supports: all feasible, none symmetric, none inside
     # a reachable level
@@ -157,6 +185,17 @@ def test_c2_four_bit_headline(records4):
         assert any(
             needle in d and "removable" in d for d in report.discrepancies
         ), needle
+    # each such row's example weights put 0 on its first removable bit
+    examples = 0
+    for row in report.rows:
+        for note in row.notes:
+            if "can be zero, e.g. z = (" not in note:
+                continue
+            z = WeightVector(tuple(F(v) for v in note.split("z = (")[1].rstrip(")").split(", ")))
+            g = ReducedFn(4, [string_to_mask(m, 4) for m in row.support])
+            assert verify_result(g, FeasibilityResult(True, witness=z), fixed={row.removable_bits[0]})
+            examples += 1
+    assert examples == 6
 
     print(
         f"criterion 2: PASS - 32767/32767 supports classified; 10 claimed "

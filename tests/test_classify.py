@@ -120,20 +120,54 @@ def test_removable_bits_match_direct_probes(records3, records4):
 
 
 @pytest.mark.parametrize(
-    "entry, n, lps",
-    [(classify_all, 4, 2195), (maximal_feasible, 5, 142)],
-    ids=["classify_all-4", "maximal_feasible-5"],
+    "entry, n",
+    [(classify_all, 4), (maximal_feasible, 5), (reproduce_tables, 4)],
+    ids=["classify_all-4", "maximal_feasible-5", "reproduce_tables-4"],
 )
-def test_one_lp_per_feasible_record(entry, n, lps):
-    # feasibility and removable bits come from the vertex table, so the only
-    # LPs are the witnesses of the feasible records: no infeasible support
-    # and no pinned bit is solved
+def test_classification_solves_no_lp(entry, n):
+    # feasibility, removable bits, witnesses and the catalog's zero-weight
+    # examples all come from the vertex table, so the LP stays an
+    # independent route
     from exact1q.feasibility import _decide_cached
 
     _decide_cached.cache_clear()
-    records = entry(n)
-    assert sum(rec.feasible for rec in records) == lps
-    assert _decide_cached.cache_info().misses == lps
+    entry(n)
+    assert _decide_cached.cache_info().misses == 0
+
+
+def test_n5_maximal_records_confirmed_by_lp():
+    # the LP route gives every maximal n=5 record its witness, and no mask
+    # can be added to its support
+    from exact1q.feasibility import decide_reduced
+    from exact1q.reduction import ReducedFn
+
+    solved = 0
+    for rec in maximal_feasible(5):
+        assert decide_reduced(ReducedFn(5, rec.support)).witness == rec.witness
+        for m in set(range(1, 32)) - set(rec.support):
+            assert not decide_reduced(ReducedFn(5, rec.support + (m,))).feasible
+            solved += 1
+        solved += 1
+    assert solved == 3439
+
+
+def test_vertex_self_check_fires(monkeypatch):
+    # a 1-class with a mask the vertex does not weight 1/2 fails the
+    # row's verification
+    from exact1q import classify
+    from exact1q.errors import InternalError
+    from exact1q.poly import InputClasses
+
+    exact = classify.input_classes
+
+    def widened(n, nums, den):
+        classes = exact(n, nums, den)
+        extra = next(m for m in range(1, 1 << n) if m not in classes.one)
+        return InputClasses(n, classes.zero, tuple(sorted(classes.one + (extra,))), classes.star)
+
+    monkeypatch.setattr(classify, "input_classes", widened)
+    with pytest.raises(InternalError, match="does not verify on its 1-class"):
+        classify_all(2)
 
 
 def test_arity_guards():
@@ -174,9 +208,8 @@ def test_witness_first_mode_matches_full_mode_maximal(records3):
 
 
 def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
-    # n=5 maximal supports are produced without subset enumeration; the
-    # single-level supports must be among them, and the counts are those
-    # of the solver that tried all 435,897 square systems
+    # n=5 maximal supports are produced without subset enumeration, and
+    # the single-level supports must be among them
     from exact1q import classify
     from exact1q.construct import level_set
 

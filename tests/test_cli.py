@@ -157,11 +157,11 @@ def test_workers_flag_is_gone(capsys, command):
     [
         (
             ["enumerate", "--n", "4", "--format", "csv"],
-            "521630a20cfd2bb9cea9ea76d70ef7906dbdb1d0301cd0b6822b7641c00b1a06",
+            "df51cf537cd7aa6db9463bb04b9c5ab5ecdab84a2f9ad52067664d00bd52170f",
         ),
         (
             ["tables", "--n", "4"],
-            "98fd0f0544a266f1fcae06e0392284cb64279245489339171e0d4b857dff0c4b",
+            "5575ccf5c2e94668609c67f96227cfc5131425b522ea56198add789bb7cac251",
         ),
         (
             ["enumerate", "--n", "5", "--format", "json"],
@@ -175,7 +175,7 @@ def test_workers_flag_is_gone(capsys, command):
 )
 def test_output_bytes_pinned(tmp_path, argv, digest):
     # SHA-256 of the output of the exhaustive classifiers: every support
-    # decided at n=3 and n=4, every square vertex system solved at n=5
+    # classified at n=3 and n=4, every maximal feasible support at n=5
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -57,6 +57,19 @@ def test_function_of_middle_level():
     assert all(bin(m).count("1") in (1, 3, 4) for m in classes.star)
 
 
+def test_input_classes_of_cramer_forms():
+    # the classifier reads a vertex's 1-class from its Cramer form (nums, det)
+    # with the helper `function_of` uses after scaling to ints
+    from exact1q.classify import _vertex_witnesses
+    from exact1q.poly import input_classes
+
+    for n in (2, 3, 4):
+        for nums, det in _vertex_witnesses(n):
+            p = polynomial(F(v, det) for v in nums)
+            assert input_classes(n, nums, det) == function_of(p)
+            assert function_of(p).one == tuple(m for m in range(1 << n) if p.evaluate(m) == 1)
+
+
 def test_function_of_rejects_negative_coefficient():
     with pytest.raises(InvalidFormError, match="negative"):
         function_of(polynomial([-1, 1, 1]))
