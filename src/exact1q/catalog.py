@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ArityTooLargeError
+
 
 @dataclass(frozen=True)
 class CatalogRow:
@@ -186,8 +188,9 @@ ROWS_4BIT: tuple[CatalogRow, ...] = (
 
 
 def rows_for(n: int) -> tuple[CatalogRow, ...]:
+    """The catalog rows at arity n: the one gate on catalog arities."""
     if n == 3:
         return ROWS_3BIT
     if n == 4:
         return ROWS_4BIT
-    raise ValueError(f"no catalog for arity {n}")
+    raise ArityTooLargeError(f"the bundled catalog covers n = 3 and n = 4 only, got n = {n}")

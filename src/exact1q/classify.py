@@ -31,7 +31,8 @@ from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from . import catalog
-from .core import check_arity, hamming_weight, mask_bits, mask_to_string, permute_mask, string_to_mask
+from .construct import level_set
+from .core import check_arity, mask_bits, mask_to_string, permute_mask, string_to_mask
 from .errors import ArityTooLargeError, InternalError
 from .feasibility import FeasibilityResult, WeightVector, verify_result
 from .intlinalg import close_line, extend_echelon, solution_line
@@ -108,10 +109,7 @@ def _key_support(key: int) -> tuple[int, ...]:
 def _level_keys(n: int) -> tuple[int, ...]:
     """Support key of each Hamming level: entry c - 1 holds every mask of
     weight c, for c = 1..n."""
-    keys = [0] * n
-    for m in range(1, 1 << n):
-        keys[m.bit_count() - 1] |= 1 << (m - 1)
-    return tuple(keys)
+    return tuple(_support_key(level_set(n, c)) for c in range(1, n + 1))
 
 
 def _key_symmetric(n: int, key: int) -> bool:
@@ -123,16 +121,6 @@ def _key_symmetric(n: int, key: int) -> bool:
 def _key_dj_computable(n: int, key: int) -> bool:
     """The nonempty support sits inside one level c >= ceil(n/2)."""
     return key != 0 and any(key & level == key for level in _level_keys(n)[(n - 1) // 2:])
-
-
-def is_dj_computable(n: int, support: Sequence[int]) -> bool:
-    """Support (nonzero n-bit masks) confined to one Hamming level c with
-    ceil(n/2) <= c <= n.
-
-    The classifier's flag, meant for its arities: the level keys it tests
-    against are 2**n-bit ints, built once per n.
-    """
-    return _key_dj_computable(n, _support_key(support))
 
 
 def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
@@ -225,9 +213,8 @@ def maximal_feasible(n: int) -> list[ClassificationRecord]:
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
     """Non-trivial records, restricted to those with no non-trivial strict
-    superset (the bookkeeping level at which the catalog counts)."""
-    if check_arity(n) > FULL_MODE_MAX:
-        raise ArityTooLargeError(f"the non-trivial catalog is gated to n <= {FULL_MODE_MAX}")
+    superset (the bookkeeping level at which the catalog counts). Gated to
+    n <= 4 by `classify_all`."""
     return _nontrivial_maximal(classify_all(n))
 
 
@@ -253,10 +240,7 @@ def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
     each Hamming weight onto each other, the sign walls w_i = 0 onto each
     other, and fixes the sum wall sum(w) = 2.
     """
-    levels: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for mask in range(1, 1 << n):
-        row = mask_bits(mask, n) + (1,)
-        levels[hamming_weight(mask) - 1].append(row)
+    levels = [[mask_bits(mask, n) + (1,) for mask in level_set(n, c)] for c in range(1, n + 1)]
     walls = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
     # stable sort: ties keep level order, then walls, then the sum wall
     return sorted(levels + [walls, [(1,) * n + (2,)]], key=len, reverse=True)
@@ -430,8 +414,14 @@ def _derived_kind(rec: ClassificationRecord) -> str:
     return "dj_computable"
 
 
+def _catalog_support(bits: Iterable[str], n: int) -> tuple[int, ...]:
+    """The masks a catalog row writes as bitstrings, ascending."""
+    return tuple(sorted(string_to_mask(s, n) for s in bits))
+
+
 def reproduce_tables(n: int) -> TableReport:
-    """Re-derive the bundled catalog at arity 3 or 4 against a full run.
+    """Re-derive the bundled catalog at arity 3 or 4 against a full run
+    (`catalog.rows_for` rejects any other arity).
 
     Every row's claimed weights are re-verified exactly; every row's
     classification is re-derived from scratch; maximal supports the
@@ -439,9 +429,7 @@ def reproduce_tables(n: int) -> TableReport:
     non-trivial count is compared with the derived one, with all
     disagreements itemized in `discrepancies`.
     """
-    if n not in (3, 4):
-        raise ArityTooLargeError("catalog reproduction is defined for n in {3, 4}")
-    rows = catalog.rows_for(n)
+    rows = catalog.rows_for(check_arity(n))
     table = _vertex_table(n)
     records = _records(n, _every_key(n), table)
     by_support = {r.support: r for r in records}
@@ -449,7 +437,7 @@ def reproduce_tables(n: int) -> TableReport:
     checks: list[RowCheck] = []
     discrepancies: list[str] = []
     for row in rows:
-        support = tuple(sorted(string_to_mask(s, n) for s in row.support))
+        support = _catalog_support(row.support, n)
         support_label = ",".join(_mask_labels(n, support))
         rec = by_support[support]
         g = ReducedFn(n, support)
@@ -477,7 +465,7 @@ def reproduce_tables(n: int) -> TableReport:
         elif row.kind == "fewer_bits":
             agree = agree and rec.fewer_bits
         elif row.kind == "included":
-            parent = tuple(sorted(string_to_mask(s, n) for s in row.included_in))
+            parent = _catalog_support(row.included_in, n)
             inside = set(support) < set(parent)
             parent_ok = by_support[parent].feasible
             agree = agree and inside and parent_ok
@@ -518,7 +506,7 @@ def reproduce_tables(n: int) -> TableReport:
 
     feasible_records = sum(1 for r in records if r.feasible)
     maximal = [r.support for r in records if r.maximal]
-    listed = {tuple(sorted(string_to_mask(s, n) for s in row.support)) for row in rows}
+    listed = {_catalog_support(row.support, n) for row in rows}
     unlisted_orbits = []
     for canon, members in sorted(group_orbits(maximal, n).items()):
         if not any(m in listed for m in members):
@@ -534,11 +522,7 @@ def reproduce_tables(n: int) -> TableReport:
     derived_nontrivial = _nontrivial_maximal(records)
     nt_supports = [r.support for r in derived_nontrivial]
     nt_orbits = group_orbits(nt_supports, n)
-    claimed_nt = [
-        tuple(sorted(string_to_mask(s, n) for s in row.support))
-        for row in rows
-        if row.kind == "nontrivial"
-    ]
+    claimed_nt = [_catalog_support(row.support, n) for row in rows if row.kind == "nontrivial"]
     count_matches = len(nt_supports) == len(claimed_nt)
     if not count_matches:
         discrepancies.append(

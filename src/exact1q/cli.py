@@ -8,14 +8,15 @@ Output is UTF-8 and byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+
 from .classify import enumerate_reduced, reproduce_tables
 from .construct import construct, dj_family, level_solutions, profile
 from .errors import Exact1qError, InternalError, SchemaError
 from .feasibility import decide
 from .jsonio import (
-    format_rational,
     function_to_dict,
     load_function,
     load_witness,
@@ -57,7 +58,7 @@ def _cmd_reduce(args) -> None:
 def _cmd_represent(args) -> None:
     f = load_function(args.function)
     p = represent(reduce(f))
-    _emit({"coefficients": [format_rational(c) for c in p.coefficients]}, args.out)
+    _emit({"coefficients": [str(c) for c in p.coefficients]}, args.out)
 
 
 def _cmd_polyfn(args) -> None:
@@ -109,7 +110,7 @@ def _record_row(rec) -> list[str]:
     return [
         ";".join(rec.support_strings()),
         _BOOL[rec.feasible],
-        " ".join(format_rational(v) for v in rec.witness.z) if rec.witness else "",
+        " ".join(map(str, rec.witness.z)) if rec.witness else "",
         _BOOL[rec.symmetric],
         _BOOL[rec.fewer_bits],
         _BOOL[rec.dj_computable],
@@ -141,67 +142,53 @@ def _cmd_simulate(args) -> None:
     _emit(report.to_json_dict(), args.out)
 
 
+def _parent(*names, **options) -> argparse.ArgumentParser:
+    """A help-less parser holding one argument, for subcommands to share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `exact1q` parser, built once per process: building it costs some
+    thirty times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="exact1q",
         description="Single-query decidability toolkit for promise Boolean functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _parent("--out")
+    function = _parent("function", help="function JSON file")
+    arity = _parent("--n", type=int, required=True)
 
-    p = sub.add_parser("decide", help="decide a function; emit witness or certificate")
-    p.add_argument("function", help="function JSON file")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_decide)
+    def command(name, fn, text, *parents):
+        p = sub.add_parser(name, help=text, parents=[*parents, out])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("reduce", help="emit the canonical reduced form")
-    p.add_argument("function")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("represent", help="degree-1 coefficients of the reduced form")
-    p.add_argument("function")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_represent)
-
-    p = sub.add_parser("polyfn", help="input classes a degree-1 polynomial defines")
-    p.add_argument("--coeffs", required=True, help="comma-separated rationals, e.g. 1/2,1/2")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_polyfn)
-
-    p = sub.add_parser("construct", help="function computed by a grouped weight profile")
+    command("decide", _cmd_decide, "decide a function; emit witness or certificate", function)
+    command("reduce", _cmd_reduce, "emit the canonical reduced form", function)
+    command("represent", _cmd_represent, "degree-1 coefficients of the reduced form", function)
+    command("polyfn", _cmd_polyfn, "input classes a degree-1 polynomial defines").add_argument(
+        "--coeffs", required=True, help="comma-separated rationals, e.g. 1/2,1/2"
+    )
+    p = command("construct", _cmd_construct, "function computed by a grouped weight profile")
     p.add_argument("--k", required=True, help="group boundaries, e.g. 0,2,6")
     p.add_argument("--a", required=True, help="group weights, e.g. 1/6,1/12")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("dj", help="single-level family reachable by equal superposition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_dj)
-
-    p = sub.add_parser("enumerate", help="classify every reduced support at arity n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("tables", help="re-derive the bundled 3/4-bit catalog")
-    p.add_argument("--n", type=int, required=True, choices=(3, 4))
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_tables)
-
-    p = sub.add_parser("simulate", help="state-vector run of a witness on a function")
-    p.add_argument("function")
-    p.add_argument("--witness", required=True, help="witness JSON file")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_simulate)
-
+    command("dj", _cmd_dj, "single-level family reachable by equal superposition", arity)
+    command("enumerate", _cmd_enumerate, "classify every reduced support at arity n", arity).add_argument(
+        "--format", choices=("csv", "json"), default="csv"
+    )
+    command("tables", _cmd_tables, "re-derive the bundled 3/4-bit catalog", arity)
+    command("simulate", _cmd_simulate, "state-vector run of a witness on a function", function).add_argument(
+        "--witness", required=True, help="witness JSON file"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except InternalError as err:

@@ -1,7 +1,8 @@
 """JSON wire formats: functions, rationals, weight vectors.
 
-Rationals travel as exact "p/q" (or integer "p") strings; decimals are
-rejected everywhere so no precision is ever lost in transit.
+Rationals travel as exact "p/q" (or integer "p") strings, which is what
+`str` makes of a `Fraction`; decimals are rejected everywhere so no
+precision is ever lost in transit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .core import MAX_ARITY, PartialBooleanFn, mask_to_string, string_to_mask
+from .core import PartialBooleanFn, check_arity, mask_to_string, string_to_mask
 from .errors import SchemaError
 from .feasibility import FeasibilityResult, WeightVector
 
@@ -28,10 +29,6 @@ def parse_rational(text: str) -> Fraction:
         raise SchemaError(f"bad rational literal {text!r}: zero denominator") from None
     except ValueError as err:  # more digits than int() converts
         raise SchemaError(f"bad rational literal: {err}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _parse_mask_list(items: Any, n: int, field: str) -> list[int]:
@@ -53,9 +50,7 @@ def function_from_dict(data: Any) -> PartialBooleanFn:
     missing = {"n", "ones", "zeros"} - set(data)
     if missing:
         raise SchemaError(f"function JSON missing fields: {sorted(missing)}")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_ARITY:
-        raise SchemaError(f"'n' must be an integer in 1..{MAX_ARITY}, got {n!r}")
+    n = check_arity(data["n"])
     ones = _parse_mask_list(data["ones"], n, "ones")
     zeros = _parse_mask_list(data["zeros"], n, "zeros")
     return PartialBooleanFn(n, ones=ones, zeros=zeros)
@@ -94,7 +89,7 @@ def witness_from_dict(data: Any) -> WeightVector:
 
 
 def witness_to_dict(w: WeightVector) -> dict:
-    return {"z0": format_rational(w.z0), "z": [format_rational(v) for v in w.z]}
+    return {"z0": str(w.z0), "z": [str(v) for v in w.z]}
 
 
 def load_witness(path: str) -> WeightVector:
@@ -106,5 +101,5 @@ def result_to_dict(result: FeasibilityResult) -> dict:
     if result.feasible:
         out["witness"] = witness_to_dict(result.witness)
     else:
-        out["certificate"] = [format_rational(m) for m in result.certificate.multipliers]
+        out["certificate"] = [str(m) for m in result.certificate.multipliers]
     return out

@@ -4,7 +4,6 @@ from exact1q.classify import (
     classify_all,
     enumerate_reduced,
     group_orbits,
-    is_dj_computable,
     maximal_feasible,
     nontrivial_catalog,
     orbit_canonical,
@@ -78,11 +77,12 @@ def test_included_by_points_to_maximal_superset(records3):
             assert rec.included_by is None
 
 
-def test_dj_flag():
-    assert is_dj_computable(4, masks(4, "1100", "1010"))
-    assert not is_dj_computable(4, masks(4, "1100", "0111"))  # two levels
-    assert not is_dj_computable(4, masks(4, "1000"))  # level below ceil(n/2)
-    assert is_dj_computable(3, masks(3, "110", "011"))
+def test_dj_flag(records3, records4):
+    flags = {(n, r.support): r.dj_computable for n, recs in ((3, records3), (4, records4)) for r in recs}
+    assert flags[4, masks(4, "1100", "1010")]
+    assert not flags[4, masks(4, "1100", "0111")]  # two levels
+    assert not flags[4, masks(4, "1000")]  # level below ceil(n/2)
+    assert flags[3, masks(3, "110", "011")]
 
 
 def test_record_flags_match_oracles(records3, records4):
@@ -95,7 +95,6 @@ def test_record_flags_match_oracles(records3, records4):
         for rec in records:
             assert rec.symmetric == bf_symmetric(n, rec.support, (0,)), rec.support
             assert rec.dj_computable == bf_dj_computable(n, rec.support), rec.support
-            assert is_dj_computable(n, rec.support) == rec.dj_computable
 
 
 def test_enumerate_matches_classify(records3):
@@ -177,15 +176,22 @@ def test_arity_guards():
         nontrivial_catalog(5)
     with pytest.raises(ArityTooLargeError):
         list(enumerate_reduced(6))
-    with pytest.raises(ArityTooLargeError):
-        reproduce_tables(5)
+    for n in (2, 5):
+        with pytest.raises(ArityTooLargeError, match="catalog covers n = 3 and n = 4 only"):
+            reproduce_tables(n)
 
 
 @pytest.mark.parametrize("n", [-1, 0, True])
 @pytest.mark.parametrize(
     "entry",
-    [classify_all, maximal_feasible, nontrivial_catalog, lambda n: list(enumerate_reduced(n))],
-    ids=["classify_all", "maximal_feasible", "nontrivial_catalog", "enumerate_reduced"],
+    [
+        classify_all,
+        maximal_feasible,
+        nontrivial_catalog,
+        lambda n: list(enumerate_reduced(n)),
+        reproduce_tables,
+    ],
+    ids=["classify_all", "maximal_feasible", "nontrivial_catalog", "enumerate_reduced", "reproduce_tables"],
 )
 def test_arity_gate_rejects_non_positive_and_bool(entry, n):
     # -1 used to raise ValueError, 0 to return [] and True a record with n=True

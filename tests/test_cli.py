@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from exact1q.cli import main
+from exact1q.cli import build_parser, main
 from exact1q.jsonio import (
     function_from_dict,
     function_to_dict,
@@ -15,7 +16,7 @@ from exact1q.jsonio import (
     witness_to_dict,
 )
 from exact1q.core import from_strings
-from exact1q.errors import SchemaError
+from exact1q.errors import ArityTooLargeError, SchemaError
 from exact1q.construct import dj_family
 from exact1q.feasibility import decide
 
@@ -263,3 +264,49 @@ def test_function_json_duplicate_rejected():
         function_from_dict({"n": 2, "ones": ["01", "01"], "zeros": []})
     with pytest.raises(SchemaError, match="bad bitstring"):
         function_from_dict({"n": 2, "ones": ["012"], "zeros": []})
+
+
+def test_parser_is_built_once(monkeypatch, capsys, deutsch_file):
+    # argparse setup costs far more than a parse, and in-process callers
+    # run `main` once per command
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["decide", deutsch_file]) == 0
+    assert main(["reduce", deutsch_file]) == 0
+    assert built.count("exact1q") <= 1
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "n, rule",
+    [("5", "catalog covers n = 3 and n = 4 only"), ("2", "catalog covers n = 3 and n = 4 only"),
+     ("0", "arity must be a positive integer")],
+    ids=["n5", "n2", "n0"],
+)
+def test_tables_arity_gate_is_exit_2(capsys, n, rule):
+    # the gate is `catalog.rows_for` behind `check_arity`, not argparse
+    code, out, err = run(capsys, "tables", "--n", n)
+    assert (code, out) == (2, "")
+    assert rule in err and err.count("\n") == 1
+
+
+def test_simulate_witness_length_mismatch_is_exit_2(capsys, deutsch_file, tmp_path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"z": ["1/4", "1/4", "1/4"]}))
+    code, out, err = run(capsys, "simulate", deutsch_file, "--witness", str(wfile))
+    assert (code, out) == (2, "")
+    assert "weight vector has 3 entries, function has 2" in err
+
+
+def test_function_json_arity_goes_through_check_arity():
+    with pytest.raises(ArityTooLargeError, match="exceeds the cap of 24"):
+        function_from_dict({"n": 25, "ones": [], "zeros": []})
+    for bad in ("2", True, 0):
+        with pytest.raises(SchemaError, match="arity must be a positive integer"):
+            function_from_dict({"n": bad, "ones": [], "zeros": []})

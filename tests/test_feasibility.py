@@ -439,3 +439,54 @@ def test_presolve_matches_oracle_random_integer_rows():
         int_rows = [[v * rhs.denominator for v in coeffs] + [rhs.numerator] for coeffs, rhs in rows]
         statuses[_check_presolve(int_rows, nvars)] += 1
     assert statuses == {"infeasible": 248, "reduced": 152}
+
+
+_OR2 = from_strings(2, ones=["01", "10", "11"], zeros=["00"])  # z1 = z2 = z1 + z2 = 1/2: infeasible
+_OR2_REDUCED = g(2, "01", "10", "11")
+_DEUTSCH = from_strings(2, ones=["01", "10"], zeros=["00", "11"])  # witness (1/2, 1/2)
+_QUARTERS = WeightVector((F(1, 4), F(1, 4)))
+_HALVES_AND_ZERO = WeightVector((F(1, 2), F(1, 2), F(0)))
+
+
+def _padded(result):
+    """The certificate of `result` with one zero multiplier too many."""
+    return FarkasWitness(result.certificate.multipliers + (F(0),))
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        # solves 1/4 + 1/4 = 1/2, but weights the pinned bit 1
+        lambda: verify_result(g(2, "11"), FeasibilityResult(True, witness=_QUARTERS), fixed={1}),
+        lambda: verify_result(_OR2_REDUCED, FeasibilityResult(False)),
+        lambda: verify_result(
+            _OR2_REDUCED,
+            FeasibilityResult(False, witness=_QUARTERS, certificate=decide_reduced(_OR2_REDUCED).certificate),
+        ),
+        lambda: verify_decision(_OR2, FeasibilityResult(False)),
+        lambda: verify_decision(
+            _OR2, FeasibilityResult(False, witness=_QUARTERS, certificate=decide(_OR2).certificate)
+        ),
+        lambda: verify_decision(_DEUTSCH, FeasibilityResult(True, witness=_HALVES_AND_ZERO)),
+        lambda: verify_decision(_OR2, FeasibilityResult(False, certificate=_padded(decide(_OR2)))),
+    ],
+    ids=[
+        "result-weight-on-pinned-bit",
+        "result-infeasible-without-certificate",
+        "result-infeasible-with-witness",
+        "decision-infeasible-without-certificate",
+        "decision-infeasible-with-witness",
+        "decision-witness-too-long",
+        "decision-certificate-too-long",
+    ],
+)
+def test_verifiers_reject_malformed_answers(verdict):
+    # each answer is right but for one defect, which only its own check sees
+    assert verdict() is False
+
+
+def test_malformed_answer_cases_are_right_but_for_the_defect():
+    assert verify_result(g(2, "11"), FeasibilityResult(True, witness=_QUARTERS))
+    assert verify_result(_OR2_REDUCED, decide_reduced(_OR2_REDUCED))
+    assert verify_decision(_OR2, decide(_OR2))
+    assert verify_decision(_DEUTSCH, FeasibilityResult(True, witness=WeightVector((F(1, 2), F(1, 2)))))

@@ -1,12 +1,13 @@
 """Fuzzing the JSON, rational and witness readers: whatever the input, the
-result is a value or a SchemaError, never another exception."""
+result is a value or a SchemaError, never another exception, except that
+a function's arity past the cap raises `check_arity`'s ArityTooLargeError."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from exact1q.core import PartialBooleanFn
-from exact1q.errors import SchemaError
+from exact1q.core import MAX_ARITY, PartialBooleanFn
+from exact1q.errors import ArityTooLargeError, SchemaError
 from exact1q.feasibility import WeightVector
 from exact1q.jsonio import function_from_dict, parse_rational, witness_from_dict
 
@@ -55,7 +56,12 @@ def test_parse_rational_value_or_schema_error(text):
 @settings(max_examples=300, deadline=None)
 @given(_functions | _json)
 def test_function_from_dict_value_or_schema_error(data):
-    value = _value_or_schema_error(function_from_dict, data)
+    try:
+        value = _value_or_schema_error(function_from_dict, data)
+    except ArityTooLargeError:
+        # the arity is read by `check_arity`, whose cap error is its own
+        assert type(data["n"]) is int and data["n"] > MAX_ARITY
+        return
     assert value is None or isinstance(value, PartialBooleanFn)
 
 
