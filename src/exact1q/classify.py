@@ -6,14 +6,21 @@ inside the simplex z >= 0, sum(z) <= 1. A support is feasible iff it
 lies in the 1-class of some vertex, a bit is removable iff some such
 vertex weights it 0, and the witness is the first such vertex in
 reversed-z order. No LP is solved: each vertex is verified once, on its
-whole 1-class with its zero bits pinned. Full-subset mode reads every
-nonempty support over the nonzero masks (gated to n <= 4; 32767
-supports and 20 table rows at n=4). At n=5 only the maximal feasible
-supports are read, the 142 maximal 1-classes of the 148 vertices, with
-no walk over the 2**31 subsets. The vertices are found in integers
-(fraction-free elimination, Cramer form, depth-first over shared row
-prefixes) and only for orbit representatives under bit relabelling,
-then closed under the n! relabellings.
+whole 1-class with its zero bits pinned. Feasibility, removable bits and
+witness come from one cover map, built by walking every nonempty subset
+of each row's class key in table order: the supports a row covers are
+exactly those subsets, so the walk reaches only feasible keys.
+Full-subset mode reads every nonempty support over the nonzero masks
+(gated to n <= 4; 32767 supports, 2195 of them feasible, reached in 2940
+subset steps over the 20 table rows at n=4). At n=5 only the maximal
+feasible supports are read, the 142 maximal 1-classes of the 148
+vertices. A maximal key is covered only by the rows with exactly that
+class key, so neither the 2**31 supports nor the subsets of the rows are
+walked. The symmetric and level-confined flags are membership tests in
+two key sets built once per arity from the Hamming levels. The vertices
+are found in integers (fraction-free elimination, Cramer form,
+depth-first over shared row prefixes) and only for orbit representatives
+under bit relabelling, then closed under the n! relabellings.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -24,10 +31,9 @@ the bundled catalog rows and itemizes every disagreement.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import catalog
@@ -63,7 +69,7 @@ class ClassificationRecord:
     def non_trivial(self) -> bool:
         return (
             self.feasible
-            and not self.fewer_bits
+            and not self.removable_bits
             and not self.symmetric
             and not self.dj_computable
         )
@@ -112,15 +118,30 @@ def _level_keys(n: int) -> tuple[int, ...]:
     return tuple(_support_key(level_set(n, c)) for c in range(1, n + 1))
 
 
-def _key_symmetric(n: int, key: int) -> bool:
-    """The support is a union of whole Hamming levels: with the 0-input 0,
-    which is all of level 0, that is `core.is_symmetric`."""
-    return all(key & level in (0, level) for level in _level_keys(n))
+def _subkeys(key: int) -> Iterator[int]:
+    """Every nonempty subset of a key, descending: one step each."""
+    sub = key
+    while sub:
+        yield sub
+        sub = (sub - 1) & key
 
 
-def _key_dj_computable(n: int, key: int) -> bool:
-    """The nonempty support sits inside one level c >= ceil(n/2)."""
-    return key != 0 and any(key & level == key for level in _level_keys(n)[(n - 1) // 2:])
+@lru_cache(maxsize=None)
+def _symmetric_keys(n: int) -> frozenset[int]:
+    """The 2**n - 1 nonempty unions of whole Hamming levels: with the
+    0-input 0, which is all of level 0, these supports are the symmetric
+    ones of `core.is_symmetric`."""
+    unions = [0]
+    for level in _level_keys(n):
+        unions += [u | level for u in unions]
+    return frozenset(unions[1:])
+
+
+@lru_cache(maxsize=None)
+def _dj_keys(n: int) -> frozenset[int]:
+    """The nonempty supports inside one level c >= ceil(n/2) (79 at n=4,
+    1055 at n=5)."""
+    return frozenset(sub for level in _level_keys(n)[(n - 1) // 2:] for sub in _subkeys(level))
 
 
 def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
@@ -141,35 +162,67 @@ def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
     return parents
 
 
-def _records(n: int, keys: Iterable[int], table: list) -> list[ClassificationRecord]:
+Cover = dict[int, tuple[WeightVector, int]]
+
+
+def _cover(reached: Iterable[tuple[int, int, WeightVector]]) -> Cover:
+    """Each key a vertex-table row reaches, mapped to (witness, zero-bit
+    key): `reached` gives (key, zero-bit key, weights) once per row that
+    reaches the key, rows in table order. The first row gives the witness
+    and every row ORs in its zero bits.
+
+    A table row is itself (class key, zero-bit key, weights), so passed
+    the table, it reads each class key from the rows with exactly that
+    class key: those are all the rows covering it when it is maximal.
+    """
+    cover: Cover = {}
+    for key, zeros, z in reached:
+        hit = cover.get(key)
+        cover[key] = (z, zeros) if hit is None else (hit[0], hit[1] | zeros)
+    return cover
+
+
+def _subset_walk(table: list) -> Iterator[tuple[int, int, WeightVector]]:
+    """(key, zero-bit key, weights) for every nonempty subset of every
+    row's class key, rows in table order: each row reaches exactly the
+    supports it covers (2940 steps over the 20 rows at n=4, 97 at n=3)."""
+    for cls, zeros, z in table:
+        for key in _subkeys(cls):
+            yield key, zeros, z
+
+
+def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRecord]:
     """The record of each support key in `keys`, in that order, read from
-    the rows of the vertex table of arity n (`_vertex_table`) that cover it.
+    the cover map of the vertex table of arity n (`_cover`).
 
     A key is feasible iff some row's class key contains it, its removable
     bits are the union of the zero bits of those rows, and its witness is
-    the first one's weights. This is exact: for a support S with bits F
+    the first one's weights: `cover.get(key)` holds both, or is missing
+    for an infeasible key. This is exact: for a support S with bits F
     pinned to zero, the polytope {S's rows, z >= 0, sum(z) <= 1, z_F = 0}
     is bounded, so if it is nonempty it has a vertex made of n independent
     tight rows of the arrangement, which the table lists with a 1-class
     containing S and weight 0 on F. Feasible keys are marked maximal or
     given their first maximal superset among the feasible keys in `keys`
-    (`_inclusion`).
+    (`_inclusion`). The level flags are membership tests in the key sets
+    `_symmetric_keys` and `_dj_keys`.
     """
-    covers = {key: [row for row in table if key & row[0] == key] for key in keys}
-    parents = _inclusion(key for key, rows in covers.items() if rows)
+    parents = _inclusion(key for key in keys if key in cover)
+    symmetric, dj_computable = _symmetric_keys(n), _dj_keys(n)
     records = []
-    for key, rows in covers.items():
+    for key in keys:
+        hit = cover.get(key)
         parent = parents.get(key)
         records.append(
             ClassificationRecord(
                 n=n,
                 support=_key_support(key),
-                feasible=bool(rows),
-                witness=rows[0][2] if rows else None,
-                symmetric=_key_symmetric(n, key),
-                dj_computable=_key_dj_computable(n, key),
-                removable_bits=_key_support(reduce(operator.or_, (row[1] for row in rows), 0)),
-                maximal=bool(rows) and parent is None,
+                feasible=hit is not None,
+                witness=None if hit is None else hit[0],
+                symmetric=key in symmetric,
+                dj_computable=key in dj_computable,
+                removable_bits=() if hit is None else _key_support(hit[1]),
+                maximal=hit is not None and parent is None,
                 included_by=None if parent is None else _key_support(parent),
             )
         )
@@ -189,7 +242,7 @@ def classify_all(n: int) -> list[ClassificationRecord]:
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
         )
-    return _records(n, _every_key(n), _vertex_table(n))
+    return _records(n, _every_key(n), _cover(_subset_walk(_vertex_table(n))))
 
 
 def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
@@ -203,12 +256,14 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
     """Feasible supports with no feasible strict superset, in support-key
-    order: the maximal class keys of the vertex table."""
+    order: the maximal class keys of the vertex table. A maximal key is
+    covered only by the rows with exactly that class key, so the cover map
+    is read off the table itself, with no subset walk."""
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     table = _vertex_table(n)
     classes = _inclusion(cls for cls, _, _ in table)
-    return _records(n, sorted(key for key, parent in classes.items() if parent is None), table)
+    return _records(n, sorted(key for key, parent in classes.items() if parent is None), _cover(table))
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
@@ -431,7 +486,7 @@ def reproduce_tables(n: int) -> TableReport:
     """
     rows = catalog.rows_for(check_arity(n))
     table = _vertex_table(n)
-    records = _records(n, _every_key(n), table)
+    records = _records(n, _every_key(n), _cover(_subset_walk(table)))
     by_support = {r.support: r for r in records}
 
     checks: list[RowCheck] = []

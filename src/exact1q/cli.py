@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .classify import enumerate_reduced, reproduce_tables
+from .classify import _mask_strings, enumerate_reduced, reproduce_tables
 from .construct import construct, dj_family, level_solutions, profile
 from .errors import Exact1qError, InternalError, SchemaError
 from .feasibility import decide
@@ -107,15 +107,17 @@ _BOOL = ("false", "true")
 
 
 def _record_row(rec) -> list[str]:
+    names = _mask_strings(rec.n)
+    fewer_bits = rec.fewer_bits
     return [
-        ";".join(rec.support_strings()),
+        ";".join([names[m] for m in rec.support]),
         _BOOL[rec.feasible],
         " ".join(map(str, rec.witness.z)) if rec.witness else "",
         _BOOL[rec.symmetric],
-        _BOOL[rec.fewer_bits],
+        _BOOL[fewer_bits],
         _BOOL[rec.dj_computable],
         _BOOL[rec.maximal],
-        ";".join(rec.included_by_strings()),
+        "" if rec.included_by is None else ";".join([names[m] for m in rec.included_by]),
         _BOOL[rec.non_trivial],
     ]
 

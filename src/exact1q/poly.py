@@ -85,21 +85,38 @@ class InputClasses:
         }
 
 
+def _subset_sums(nums: Sequence[int]) -> list[int]:
+    """The sum of nums over the set bits of every mask, in mask order, with
+    nums[0] on the most significant bit: one addition per mask."""
+    sums = [0]
+    for v in nums:
+        sums = [t for s in sums for t in (s, s + v)]
+    return sums
+
+
 def input_classes(n: int, nums: Sequence[int], den: int) -> InputClasses:
     """Input classes of p = (nums_1*x_1 + ... + nums_n*x_n) / den, in ints.
 
     A mask is in the 0-class when the nums of its set bits sum to 0 and in
     the 1-class when they sum to den > 0. Admissibility is the caller's.
+    The sum of a mask is that of its high half of bits plus that of its
+    low half, read from two tables of about 2**(n/2) subset sums, so each
+    mask costs one addition and the tables stay small.
     """
+    half = n // 2
+    low = _subset_sums(nums[half:])
     zero, one, star = [], [], []
-    for mask in range(1 << n):
-        total = sum(v for v, b in zip(nums, mask_bits(mask, n)) if b)
-        if total == 0:
-            zero.append(mask)
-        elif total == den:
-            one.append(mask)
-        else:
-            star.append(mask)
+    mask = 0
+    for high in _subset_sums(nums[:half]):
+        for part in low:
+            total = high + part
+            if total == 0:
+                zero.append(mask)
+            elif total == den:
+                one.append(mask)
+            else:
+                star.append(mask)
+            mask += 1
     return InputClasses(n, tuple(zero), tuple(one), tuple(star))
 
 

@@ -9,8 +9,10 @@ every sign, a reduced-system answer against every support equation),
 arrangement vertices by solving every square system, the presolve by
 rational Gauss-Jordan elimination that carries every row's combination
 of the input rows, difference sets by looping over input pairs,
-group-weight supports by scanning all masks, and Hamming levels by
-counting bits.
+group-weight supports by scanning all masks, Hamming levels by
+counting bits, polynomial input classes by summing each mask's
+coefficients, and the vertex-table rows covering a support by testing
+the support against every row.
 """
 
 from fractions import Fraction
@@ -263,6 +265,30 @@ def bf_vertices(n: int):
         if sol is not None and all(v >= 0 for v in sol) and sum(sol) <= 1:
             out.add(tuple(sol))
     return out
+
+
+def bf_cover(table, key: int):
+    """(witness, zero-bit key) of a support key read from vertex-table rows
+    (class key, zero-bit key, weights) by scanning every row: the rows
+    whose class key contains the key, the first one's weights and the OR
+    of their zero bits; None when no row covers the key."""
+    rows = [row for row in table if key & row[0] == key]
+    if not rows:
+        return None
+    zeros = 0
+    for row in rows:
+        zeros |= row[1]
+    return rows[0][2], zeros
+
+
+def bf_input_classes(n: int, nums, den: int):
+    """(0-class, 1-class, other) of sum(nums_i * x_i) / den, summing the
+    nums of each mask's set bits."""
+    classes = ([], [], [])
+    for mask in range(1 << n):
+        total = sum(nums[i - 1] for i in range(1, n + 1) if bit(mask, i, n))
+        classes[0 if total == 0 else 1 if total == den else 2].append(mask)
+    return tuple(tuple(c) for c in classes)
 
 
 def bf_diff_set(ones, zeros):

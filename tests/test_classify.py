@@ -86,12 +86,19 @@ def test_dj_flag(records3, records4):
 
 
 def test_record_flags_match_oracles(records3, records4):
-    # symmetric and dj_computable come from the support key; check them on
-    # every support with n <= 4 against the definition and a level scan
+    # symmetric and dj_computable are membership tests in per-n key sets;
+    # check them on every support with n <= 4 and on the maximal n=5
+    # supports against the definition and a level scan
     from bruteforce import bf_dj_computable, bf_symmetric
 
-    for n, records in ((1, classify_all(1)), (2, classify_all(2)), (3, records3), (4, records4)):
-        assert len(records) == (1 << ((1 << n) - 1)) - 1
+    for n, records in (
+        (1, classify_all(1)),
+        (2, classify_all(2)),
+        (3, records3),
+        (4, records4),
+        (5, maximal_feasible(5)),
+    ):
+        assert len(records) == (142 if n == 5 else (1 << ((1 << n) - 1)) - 1)
         for rec in records:
             assert rec.symmetric == bf_symmetric(n, rec.support, (0,)), rec.support
             assert rec.dj_computable == bf_dj_computable(n, rec.support), rec.support
@@ -320,6 +327,47 @@ def test_reproduce_tables_classifies_once(monkeypatch):
     )
     reproduce_tables(3)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cover_map_matches_row_scan(n):
+    # the subset walk over each row's class key reaches exactly the keys
+    # some row covers, with the first covering row's weights and the OR of
+    # every covering row's zero bits
+    from bruteforce import bf_cover
+
+    from exact1q.classify import _cover, _every_key, _subset_walk, _vertex_table
+
+    table = _vertex_table(n)
+    cover = _cover(_subset_walk(table))
+    expected = {key: bf_cover(table, key) for key in _every_key(n)}
+    assert cover == {key: hit for key, hit in expected.items() if hit is not None}
+
+
+def test_cover_map_n4_is_the_feasible_keys(records4):
+    from exact1q.classify import _cover, _subset_walk, _support_key, _vertex_table
+
+    table = _vertex_table(4)
+    cover = _cover(_subset_walk(table))
+    # one step per nonempty subset of each of the 20 class keys, in place
+    # of 32767 keys tested against every row
+    assert (len(table), sum(1 for _ in _subset_walk(table))) == (20, 2940)
+    assert len(cover) == 2195
+    assert set(cover) == {_support_key(rec.support) for rec in records4 if rec.feasible}
+
+
+def test_cover_map_n5_maximal_keys_match_row_scan():
+    # maximal_feasible reads the table alone: a maximal class key is
+    # covered only by the rows with exactly that class key
+    from bruteforce import bf_cover
+
+    from exact1q.classify import _cover, _inclusion, _vertex_table
+
+    table = _vertex_table(5)
+    maximal = [key for key, parent in _inclusion(row[0] for row in table).items() if parent is None]
+    cover = _cover(table)
+    assert len(maximal) == 142
+    assert all(cover[key] == bf_cover(table, key) for key in maximal)
 
 
 def test_maximal_feasible_n4_vertex_cross_check(records4):

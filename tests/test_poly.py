@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact1q.core import string_to_mask
 from exact1q.errors import ArityMismatchError, InvalidFormError, NotFeasibleError
@@ -68,6 +69,25 @@ def test_input_classes_of_cramer_forms():
             p = polynomial(F(v, det) for v in nums)
             assert input_classes(n, nums, det) == function_of(p)
             assert function_of(p).one == tuple(m for m in range(1 << n) if p.evaluate(m) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    ),
+    st.integers(1, 12),
+)
+def test_input_classes_match_per_mask_sums(n_nums, den):
+    # the split subset-sum tables give each mask the sum of the nums of its
+    # set bits, zero nums and den below some sums included
+    from bruteforce import bf_input_classes
+
+    from exact1q.poly import input_classes
+
+    n, nums = n_nums
+    classes = input_classes(n, nums, den)
+    assert (classes.zero, classes.one, classes.star) == bf_input_classes(n, nums, den)
 
 
 def test_function_of_rejects_negative_coefficient():
