@@ -301,6 +301,27 @@ def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
     return sorted(levels + [walls, [(1,) * n + (2,)]], key=len, reverse=True)
 
 
+def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """For each orbit j, the rows its systems draw from (orbit j, then
+    every later orbit) and the stabiliser G_j of its first row: the index
+    map over those rows of each of the n! relabellings that fixes index 0.
+    A relabelling keeps every orbit, so it permutes these rows.
+    """
+    orbits = _arrangement_orbits(n)
+    systems = []
+    for j in range(len(orbits)):
+        rows = [row for orbit in orbits[j:] for row in orbit]
+        index = {row: i for i, row in enumerate(rows)}
+        # distinct maps only: late orbits' rows do not tell all bits apart
+        stabiliser = {}
+        for perm in itertools.permutations(range(n)):
+            image = tuple([index[tuple([row[p] for p in perm]) + row[n:]] for row in rows])
+            if image[0] == 0:
+                stabiliser[image] = None
+        systems.append((rows, list(stabiliser)))
+    return systems
+
+
 def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Vertices of the arrangement cut out by the level hyperplanes, the
     sign walls and the sum wall that lie in the simplex z >= 0, sum(z) <= 1.
@@ -317,14 +338,20 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     eliminated once for all its completions (`extend_echelon`) and a
     dependent prefix prunes them all. A prefix of n - 1 rows becomes a
     solution line, and each later row closes it with two dot products
-    (`close_line`). At n=5 that is 10,309 row steps, 7,960 lines and
-    67,309 closed systems (41,261 of them nonsingular) in place of 76,020
-    square solves (all C(37, 5) = 435,897 without orbits), for 148
-    vertices.
+    (`close_line`). A prefix is extended only while its set of row indices
+    is the lexicographically smallest of its images under the stabiliser
+    G_j of orbit j's first row (`_orbit_systems`), as in orderly generation
+    (Read 1978; McKay 1998). This loses no vertex: a set is lex-smallest
+    only if it is so without its largest index, so the lex-smallest image
+    of every system is walked in full, and its vertex is a relabelling of
+    the system's. At n=5 that is 1,447 row steps, 974 lines and 8,200
+    closed systems (4,638 of them nonsingular), against 10,309, 7,960 and
+    67,309 without G_j and 435,897 square solves without orbits, for 148
+    vertices; at n=6, 44,650 row steps and 417,066 closes for 4,368.
     """
     found: set[tuple[tuple[int, ...], int]] = set()
 
-    def walk(rows, prefix, start, stop):
+    def walk(rows, lifts, key, images, prefix, start, stop):
         if len(prefix) == n - 1:
             line = solution_line(prefix, n)
             for row in rows[start:stop]:
@@ -336,15 +363,20 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
             return
         # rows[start:stop] leave enough rows after them to finish a system
         for i in range(start, stop):
-            longer = extend_echelon(prefix, rows[i], n)
-            if longer is not None:
-                walk(rows, longer, i + 1, len(rows) - (n - 2 - len(prefix)))
+            # the prefix's row indices as a bitset, and its image under each
+            # g in G_j; of two index sets the lex-smaller holds the lowest
+            # index in which they differ
+            longer = key | 1 << i
+            moved = [image | lift[i] for image, lift in zip(images, lifts)]
+            if any(m & (d := m ^ longer) & -d for m in moved):
+                continue
+            echelon = extend_echelon(prefix, rows[i], n)
+            if echelon is not None:
+                walk(rows, lifts, longer, moved, echelon, i + 1, len(rows) - (n - 2 - len(prefix)))
 
-    orbits = _arrangement_orbits(n)
-    for j, orbit in enumerate(orbits):
-        rows = orbit + [row for o in orbits[j + 1:] for row in o]
+    for rows, stabiliser in _orbit_systems(n):
         # the first row is always orbit j's first row
-        walk(rows, (), 0, 1)
+        walk(rows, [[1 << k for k in g] for g in stabiliser], 0, [0] * len(stabiliser), (), 0, 1)
     return sorted(
         {
             (tuple(nums[p] for p in perm), det)

@@ -17,11 +17,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import AssignmentMask, check_arity, mask_bits, mask_to_string
-from .errors import ArityMismatchError, InvalidFormError, NotFeasibleError
+from .errors import ArityMismatchError, ArityTooLargeError, InvalidFormError, NotFeasibleError
 from .feasibility import decide_reduced
 from .reduction import ReducedFn
 
 _TWO = Fraction(2)
+
+#: `function_of` lists every one of the 2**n masks, so it stops at this
+#: arity (about a million masks) rather than at `core.MAX_ARITY`.
+FUNCTION_OF_MAX_ARITY = 20
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,15 @@ def function_of(p: Degree1Polynomial) -> InputClasses:
     The 1-class is the widest support any function represented by p can
     have; with strictly positive coefficients the 0-class is exactly the
     all-zeros mask. Rejects inadmissible polynomials, naming the violated
-    condition. Scaled by the lcm of its denominators, p is read in ints.
+    condition, and arities past `FUNCTION_OF_MAX_ARITY` before listing
+    any mask. Scaled by the lcm of its denominators, p is read in ints.
     """
     p.check_admissible()
     n = check_arity(p.n)
+    if n > FUNCTION_OF_MAX_ARITY:
+        raise ArityTooLargeError(
+            f"listing the input classes of {n} variables means all 2**{n} = {1 << n:,} "
+            f"masks; the cap is {FUNCTION_OF_MAX_ARITY} variables"
+        )
     den = math.lcm(*(c.denominator for c in p.coefficients))
     return input_classes(n, [c.numerator * (den // c.denominator) for c in p.coefficients], den)

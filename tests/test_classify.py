@@ -241,10 +241,11 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     for name, attr in (("row", "extend_echelon"), ("line", "solution_line"), ("close", "close_line")):
         monkeypatch.setattr(classify, attr, counted(name, getattr(classify, attr)))
     recs = maximal_feasible(5)
-    # orbit representatives only, depth-first: 10,309 row steps (7 of them
-    # an orbit's first row), 7,960 lines, 67,309 last rows of which 41,261
-    # meet their line; the square solve per system made 76,020 solves
-    assert calls == {"row": 10309, "line": 7960, "close": 67309, "point": 41261}
+    # orbit representatives only, depth-first, each prefix lex-smallest
+    # under its orbit's stabiliser: 1,447 row steps (7 of them an orbit's
+    # first row), 974 lines, 8,200 last rows of which 4,638 meet their
+    # line; without the stabiliser 10,309, 7,960, 67,309 and 41,261
+    assert calls == {"row": 1447, "line": 974, "close": 8200, "point": 4638}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -279,6 +280,56 @@ def test_vertex_witnesses_n5_pinned():
     assert len(vertices) == 148
     digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
     assert digest == "903876a0fc85b64cff47a00d69338e25606b8ad9ea3fb62c63a08456c821b6b1"
+
+
+def test_vertex_witnesses_n6_pinned():
+    # the n=6 vertex list; the digest was recorded from the walk without
+    # stabiliser pruning, so it checks the pruned walk by a second route
+    import hashlib
+
+    from exact1q.classify import _vertex_witnesses
+
+    vertices = _vertex_witnesses(6)
+    assert len(vertices) == 4368
+    digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
+    assert digest == "72c66b7f68326d57bbe8065d06e3642341f8cfc09fc2c62179db4ffc8ab4611f"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_stabilisers_fix_the_first_row(n):
+    # each index map is a relabelling of the rows that fixes orbit j's
+    # first row and keeps every row in its own orbit
+    import itertools
+    from math import factorial
+
+    from exact1q.classify import _arrangement_orbits, _orbit_systems
+
+    orbits = _arrangement_orbits(n)
+    systems = _orbit_systems(n)
+    assert len(systems) == len(orbits)
+    for j, (rows, stabiliser) in enumerate(systems):
+        orbit_of = [k for k, orbit in enumerate(orbits[j:]) for _ in orbit]
+        assert rows == [row for orbit in orbits[j:] for row in orbit]
+        assert len(set(stabiliser)) == len(stabiliser)
+        assert tuple(range(len(rows))) in stabiliser
+        if len(orbits[j]) > 1:
+            # the rows include the sign walls, so distinct relabellings
+            # give distinct maps: |G_j| * |orbit j| = n!
+            assert len(stabiliser) * len(orbits[j]) == factorial(n)
+        for g in stabiliser:
+            assert g[0] == 0
+            assert sorted(g) == list(range(len(rows)))
+            assert all(orbit_of[g[i]] == orbit_of[i] for i in range(len(rows)))
+            # g is a relabelling: some permutation of the columns moves
+            # every row onto its image
+            assert any(
+                all(rows[g[i]] == tuple(row[p] for p in perm) + row[n:] for i, row in enumerate(rows))
+                for perm in itertools.permutations(range(n))
+            )
+    if n == 5:
+        assert [len(stabiliser) for (_, stabiliser), orbit in zip(systems, orbits) if len(orbit) > 1] == [
+            12, 12, 24, 24, 24,
+        ]
 
 
 def test_unique_system_witnesses_reproduced_exactly():
