@@ -34,7 +34,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
 from .construct import level_set
@@ -49,8 +49,11 @@ FULL_MODE_MAX = 4
 VERTEX_MODE_MAX = 5
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
+    """One support's classification. A named tuple, so records are
+    immutable, hashable and equal by value, and building one is a single
+    tuple allocation."""
+
     n: int
     support: tuple[int, ...]
     feasible: bool
@@ -101,14 +104,35 @@ def _support_key(support: Sequence[int]) -> int:
     return key
 
 
+class _ByteMasks(dict):
+    """Byte offset k -> the 256 ascending mask tuples of the byte values at
+    bits 8k..8k+7 of a support key. Each offset's table is built on first
+    use, so nothing is built at import and the tables reach as wide as the
+    keys read."""
+
+    def __missing__(self, offset: int) -> tuple[tuple[int, ...], ...]:
+        # threads that miss together store equal tables, so no lock is needed
+        table = [()]
+        for mask in range(8 * offset + 1, 8 * offset + 9):
+            # the bytes with this bit set follow those without it, in order
+            table += [masks + (mask,) for masks in table]
+        self[offset] = table = tuple(table)
+        return table
+
+
+_BYTE_MASKS = _ByteMasks()
+
+
 def _key_support(key: int) -> tuple[int, ...]:
-    """The masks of a support key, ascending: one step per set bit."""
-    support = []
+    """The masks of a support key, ascending: one table lookup per byte
+    (`_ByteMasks`), so at most ceil(bits / 8) tuples are concatenated. The
+    one reader of support keys: supports, removable bits and parents."""
+    support, offset = (), 0
     while key:
-        low = key & -key
-        support.append(low.bit_length())
-        key ^= low
-    return tuple(support)
+        support += _BYTE_MASKS[offset][key & 255]
+        key >>= 8
+        offset += 1
+    return support
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +229,9 @@ def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRe
     containing S and weight 0 on F. Feasible keys are marked maximal or
     given their first maximal superset among the feasible keys in `keys`
     (`_inclusion`). The level flags are membership tests in the key sets
-    `_symmetric_keys` and `_dj_keys`.
+    `_symmetric_keys` and `_dj_keys`. Every mask tuple (support, removable
+    bits, parent) is read from its key by `_key_support`, and each record
+    is built positionally, one tuple allocation (32,767 at n=4).
     """
     parents = _inclusion(key for key in keys if key in cover)
     symmetric, dj_computable = _symmetric_keys(n), _dj_keys(n)
@@ -215,15 +241,15 @@ def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRe
         parent = parents.get(key)
         records.append(
             ClassificationRecord(
-                n=n,
-                support=_key_support(key),
-                feasible=hit is not None,
-                witness=None if hit is None else hit[0],
-                symmetric=key in symmetric,
-                dj_computable=key in dj_computable,
-                removable_bits=() if hit is None else _key_support(hit[1]),
-                maximal=hit is not None and parent is None,
-                included_by=None if parent is None else _key_support(parent),
+                n,
+                _key_support(key),
+                hit is not None,
+                None if hit is None else hit[0],
+                key in symmetric,
+                key in dj_computable,
+                () if hit is None else _key_support(hit[1]),
+                hit is not None and parent is None,
+                None if parent is None else _key_support(parent),
             )
         )
     return records

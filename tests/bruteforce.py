@@ -11,8 +11,9 @@ rational Gauss-Jordan elimination that carries every row's combination
 of the input rows, difference sets by looping over input pairs,
 group-weight supports by scanning all masks, Hamming levels by
 counting bits, polynomial input classes by summing each mask's
-coefficients, and the vertex-table rows covering a support by testing
-the support against every row.
+coefficients, the vertex-table rows covering a support by testing
+the support against every row, and the masks of a support key by
+testing its bits one at a time.
 """
 
 from fractions import Fraction
@@ -279,6 +280,12 @@ def bf_cover(table, key: int):
     for row in rows:
         zeros |= row[1]
     return rows[0][2], zeros
+
+
+def bf_key_support(key: int):
+    """The masks of a support key, ascending: mask m is in the support iff
+    bit m - 1 of the key is set."""
+    return tuple(m for m in range(1, key.bit_length() + 1) if key >> (m - 1) & 1)
 
 
 def bf_input_classes(n: int, nums, den: int):

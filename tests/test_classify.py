@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact1q.classify import (
+    ClassificationRecord,
+    _key_support,
     classify_all,
     enumerate_reduced,
     group_orbits,
@@ -26,6 +29,48 @@ def test_n1_classification():
     assert rec.support == (1,)
     assert rec.feasible and rec.symmetric and rec.dj_computable and rec.maximal
     assert not rec.fewer_bits and not rec.non_trivial
+
+
+def test_record_contract():
+    # a record is an immutable value with the nine fields in this order
+    rec = classify_all(1)[0]
+    assert repr(rec) == (
+        "ClassificationRecord(n=1, support=(1,), feasible=True, "
+        "witness=WeightVector(z=(Fraction(1, 2),)), symmetric=True, "
+        "dj_computable=True, removable_bits=(), maximal=True, included_by=None)"
+    )
+    with pytest.raises(AttributeError):
+        rec.feasible = False
+    first, second = classify_all(3), classify_all(3)
+    assert first == second
+    assert [hash(r) for r in first] == [hash(r) for r in second]
+    assert ClassificationRecord._fields == (
+        "n",
+        "support",
+        "feasible",
+        "witness",
+        "symmetric",
+        "dj_computable",
+        "removable_bits",
+        "maximal",
+        "included_by",
+    )
+    bare = ClassificationRecord(2, (1, 2), False, None, False, False, ())
+    assert bare.maximal is False and bare.included_by is None
+
+
+def test_key_support_of_empty_key():
+    assert _key_support(0) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_key_support_matches_bit_oracle(key):
+    # the byte tables reach any width a key needs: 15 bits at n=4, 31 at
+    # n=5, 63 at n=6
+    from bruteforce import bf_key_support
+
+    assert _key_support(key) == bf_key_support(key)
 
 
 def test_n2_feasible_set_matches_bruteforce():
