@@ -21,6 +21,8 @@ two key sets built once per arity from the Hamming levels. The vertices
 are found in integers (fraction-free elimination, Cramer form,
 depth-first over shared row prefixes) and only for orbit representatives
 under bit relabelling, then closed under the n! relabellings.
+Orbits of maximal supports are read off their witnesses (`_orbits`); no
+support is ever relabelled.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -31,6 +33,7 @@ the bundled catalog rows and itemizes every disagreement.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
 from .construct import level_set
-from .core import check_arity, mask_bits, mask_to_string, permute_mask, string_to_mask
+from .core import check_arity, mask_bits, mask_to_string, string_to_mask
 from .errors import ArityTooLargeError, InternalError
 from .feasibility import FeasibilityResult, WeightVector, verify_result
 from .intlinalg import close_line, extend_echelon, solution_line
@@ -282,29 +285,23 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
     """Feasible supports with no feasible strict superset, in support-key
-    order: the maximal class keys of the vertex table. A maximal key is
-    covered only by the rows with exactly that class key, so the cover map
-    is read off the table itself, with no subset walk."""
+    order: the class keys of the vertex table that `_records` marks
+    maximal. A maximal key is covered only by the rows with exactly that
+    class key, so the cover map is read off the table itself, with no
+    subset walk."""
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     table = _vertex_table(n)
-    classes = _inclusion(cls for cls, _, _ in table)
-    return _records(n, sorted(key for key, parent in classes.items() if parent is None), _cover(table))
+    records = _records(n, sorted({cls for cls, _, _ in table}), _cover(table))
+    return [rec for rec in records if rec.maximal]
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
-    """Non-trivial records, restricted to those with no non-trivial strict
-    superset (the bookkeeping level at which the catalog counts). Gated to
-    n <= 4 by `classify_all`."""
-    return _nontrivial_maximal(classify_all(n))
-
-
-def _nontrivial_maximal(records: Iterable[ClassificationRecord]) -> list[ClassificationRecord]:
-    """The non-trivial records with no non-trivial strict superset, in
-    support-key order."""
-    keys = {_support_key(r.support): r for r in records if r.non_trivial}
-    parents = _inclusion(keys)
-    return [keys[key] for key in sorted(keys) if parents[key] is None]
+    """The maximal non-trivial records, in support-key order: the level at
+    which the catalog counts. Gated to n <= 4 by `classify_all`, where a
+    non-trivial support is maximal iff it has no non-trivial strict
+    superset (checked exhaustively against a pairwise oracle)."""
+    return [rec for rec in classify_all(n) if rec.maximal and rec.non_trivial]
 
 
 # ---------------------------------------------------------------------------
@@ -438,30 +435,27 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
     return sorted(table, key=lambda row: row[2].z[::-1])
 
 
-# ---------------------------------------------------------------------------
-# Bit-permutation orbits.
-# ---------------------------------------------------------------------------
+def _orbits(records: Iterable[ClassificationRecord], table: list) -> list[list[tuple[int, ...]]]:
+    """The supports of maximal records grouped into orbits under bit
+    relabelling: each orbit ascending, orbits ordered by smallest member.
 
-def permute_support(support: Sequence[int], perm: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(sorted(permute_mask(m, perm, n) for m in support))
-
-
-def orbit_canonical(support: Sequence[int], n: int) -> tuple[int, ...]:
-    """Lexicographically smallest bit-relabelling of a support."""
-    base = tuple(sorted(support))
-    best = base
-    for perm in itertools.permutations(range(1, n + 1)):
-        cand = permute_support(base, perm, n)
-        if cand < best:
-            best = cand
-    return best
-
-
-def group_orbits(supports: Iterable[Sequence[int]], n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for s in supports:
-        orbits.setdefault(orbit_canonical(s, n), []).append(tuple(sorted(s)))
-    return orbits
+    Every vertex of a maximal support S's polytope {S's rows, z >= 0,
+    sum(z) <= 1} has a 1-class containing S, hence equal to S. If exactly
+    one table row has class key S, that polytope is the single point v_S,
+    and v_{pi S} = pi v_S for every relabelling pi. So two such supports
+    share an orbit iff their witnesses have equal sorted weights. Raises
+    InternalError for a record where this does not hold.
+    """
+    rows = Counter(cls for cls, _, _ in table)
+    orbits: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
+    for rec in records:
+        if not rec.maximal or rows[_support_key(rec.support)] != 1:
+            raise InternalError(
+                f"support {_mask_labels(rec.n, rec.support)} is not a maximal class key "
+                f"of exactly one vertex, so its orbit cannot be read from its witness"
+            )
+        orbits.setdefault(tuple(sorted(rec.witness.z)), []).append(rec.support)
+    return sorted(sorted(members) for members in orbits.values())
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +532,10 @@ def reproduce_tables(n: int) -> TableReport:
 
     Every row's claimed weights are re-verified exactly; every row's
     classification is re-derived from scratch; maximal supports the
-    catalog does not mention are surfaced by orbit; and the claimed
-    non-trivial count is compared with the derived one, with all
-    disagreements itemized in `discrepancies`.
+    catalog does not mention are surfaced by orbit, each by its smallest
+    member (its lex-smallest relabelling, as the maximal family is closed
+    under relabelling); and the claimed non-trivial count is compared with
+    the derived one, with all disagreements itemized in `discrepancies`.
     """
     rows = catalog.rows_for(check_arity(n))
     table = _vertex_table(n)
@@ -618,23 +613,21 @@ def reproduce_tables(n: int) -> TableReport:
         )
 
     feasible_records = sum(1 for r in records if r.feasible)
-    maximal = [r.support for r in records if r.maximal]
+    maximal = [r for r in records if r.maximal]
     listed = {_catalog_support(row.support, n) for row in rows}
-    unlisted_orbits = []
-    for canon, members in sorted(group_orbits(maximal, n).items()):
-        if not any(m in listed for m in members):
-            unlisted_orbits.append(canon)
-            discrepancies.append(
-                "maximal support orbit not in catalog: "
-                + ",".join(_mask_labels(n, canon))
-                + " (trivial: "
-                + _derived_kind(by_support[canon])
-                + ")"
-            )
+    unlisted_orbits = [orbit[0] for orbit in _orbits(maximal, table) if listed.isdisjoint(orbit)]
+    for canon in unlisted_orbits:
+        discrepancies.append(
+            "maximal support orbit not in catalog: "
+            + ",".join(_mask_labels(n, canon))
+            + " (trivial: "
+            + _derived_kind(by_support[canon])
+            + ")"
+        )
 
-    derived_nontrivial = _nontrivial_maximal(records)
+    derived_nontrivial = [r for r in maximal if r.non_trivial]
     nt_supports = [r.support for r in derived_nontrivial]
-    nt_orbits = group_orbits(nt_supports, n)
+    nt_orbits = _orbits(derived_nontrivial, table)
     claimed_nt = [_catalog_support(row.support, n) for row in rows if row.kind == "nontrivial"]
     count_matches = len(nt_supports) == len(claimed_nt)
     if not count_matches:
@@ -648,7 +641,7 @@ def reproduce_tables(n: int) -> TableReport:
         rows=tuple(checks),
         total_records=len(records),
         feasible_records=feasible_records,
-        maximal_supports=tuple(_mask_labels(n, s) for s in sorted(maximal)),
+        maximal_supports=tuple(_mask_labels(n, s) for s in sorted(r.support for r in maximal)),
         unlisted_maximal_orbits=tuple(_mask_labels(n, s) for s in unlisted_orbits),
         nontrivial_supports=tuple(_mask_labels(n, s) for s in nt_supports),
         nontrivial_orbit_count=len(nt_orbits),

@@ -10,11 +10,12 @@ group-weight equation therefore enumerates the full support.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import PartialBooleanFn, check_arity
+from .core import PartialBooleanFn, check_arity, check_listing
 from .errors import EmptySupportError, ProfileError
 
 _HALF = Fraction(1, 2)
@@ -139,10 +140,9 @@ def dj_family(n: int) -> list[PartialBooleanFn]:
 
     An equal-superposition algorithm decides exactly the functions that
     are 0 on the all-zeros input and 1 on one weight level c with
-    ceil(n/2) <= c <= n; every member is symmetric.
+    ceil(n/2) <= c <= n; every member is symmetric. Arities past
+    `core.LISTING_MAX_ARITY` are refused before any level is listed.
     """
-    check_arity(n)
-    out = []
-    for c in range((n + 1) // 2, n + 1):
-        out.append(PartialBooleanFn(n, ones=level_set(n, c), zeros=(0,)))
-    return out
+    levels = range((check_arity(n) + 1) // 2, n + 1)
+    check_listing(n, sum(math.comb(n, c) for c in levels), "the DJ family")
+    return [PartialBooleanFn(n, ones=level_set(n, c), zeros=(0,)) for c in levels]

@@ -39,6 +39,19 @@ def check_arity(n: int) -> int:
     return n
 
 
+#: Listings of masks (`poly.function_of`, `construct.dj_family`) stop at
+#: this arity, about a million masks, rather than at `MAX_ARITY`.
+LISTING_MAX_ARITY = 20
+
+
+def check_listing(n: int, masks: int, what: str) -> None:
+    """Refuse a listing of `masks` masks at an arity past the cap, naming the count."""
+    if n > LISTING_MAX_ARITY:
+        raise ArityTooLargeError(
+            f"{what} of {n} variables means listing {masks:,} masks; the cap is {LISTING_MAX_ARITY} variables"
+        )
+
+
 def mask_bits(mask: AssignmentMask, n: int) -> tuple[int, ...]:
     """Bits x_1..x_n of an n-bit mask as 0/1, x_1 the most significant."""
     return tuple([mask >> s & 1 for s in range(n - 1, -1, -1)])

@@ -16,16 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import AssignmentMask, check_arity, mask_bits, mask_to_string
-from .errors import ArityMismatchError, ArityTooLargeError, InvalidFormError, NotFeasibleError
+from .core import AssignmentMask, check_arity, check_listing, mask_bits, mask_to_string
+from .errors import ArityMismatchError, InvalidFormError, NotFeasibleError
 from .feasibility import decide_reduced
 from .reduction import ReducedFn
 
 _TWO = Fraction(2)
-
-#: `function_of` lists every one of the 2**n masks, so it stops at this
-#: arity (about a million masks) rather than at `core.MAX_ARITY`.
-FUNCTION_OF_MAX_ARITY = 20
 
 
 @dataclass(frozen=True)
@@ -130,15 +126,11 @@ def function_of(p: Degree1Polynomial) -> InputClasses:
     The 1-class is the widest support any function represented by p can
     have; with strictly positive coefficients the 0-class is exactly the
     all-zeros mask. Rejects inadmissible polynomials, naming the violated
-    condition, and arities past `FUNCTION_OF_MAX_ARITY` before listing
+    condition, and arities past `core.LISTING_MAX_ARITY` before listing
     any mask. Scaled by the lcm of its denominators, p is read in ints.
     """
     p.check_admissible()
     n = check_arity(p.n)
-    if n > FUNCTION_OF_MAX_ARITY:
-        raise ArityTooLargeError(
-            f"listing the input classes of {n} variables means all 2**{n} = {1 << n:,} "
-            f"masks; the cap is {FUNCTION_OF_MAX_ARITY} variables"
-        )
+    check_listing(n, 1 << n, "the input classes")
     den = math.lcm(*(c.denominator for c in p.coefficients))
     return input_classes(n, [c.numerator * (den // c.denominator) for c in p.coefficients], den)

@@ -12,13 +12,17 @@ of the input rows, difference sets by looping over input pairs,
 group-weight supports by scanning all masks, Hamming levels by
 counting bits, polynomial input classes by summing each mask's
 coefficients, the vertex-table rows covering a support by testing
-the support against every row, and the masks of a support key by
-testing its bits one at a time.
+the support against every row, the masks of a support key by
+testing its bits one at a time, relabelled supports by moving each
+mask's bits one at a time (`bf_permute_support`), orbits under bit
+relabelling by trying all n! relabellings of every support
+(`bf_group_orbits`), and the non-trivial records with no non-trivial
+strict superset by testing every pair (`bf_nontrivial_maximal`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 HALF = Fraction(1, 2)
 
@@ -339,3 +343,32 @@ def bf_group_ones(boundaries, values, n):
         if total == HALF:
             ones.append(mask)
     return tuple(ones)
+
+
+def bf_permute_support(support, perm, n: int):
+    """A support relabelled by a permutation of 1..n, ascending: bit
+    perm[i - 1] of each image mask is bit i of the mask."""
+    return tuple(sorted(
+        sum(bit(m, i, n) << (n - perm[i - 1]) for i in range(1, n + 1)) for m in support
+    ))
+
+
+def bf_group_orbits(supports, n: int):
+    """Supports grouped by their lexicographically smallest relabelling,
+    found by trying all n! of them: canonical form -> members ascending,
+    keys ascending."""
+    orbits = {}
+    for support in supports:
+        canon = min(bf_permute_support(support, perm, n) for perm in permutations(range(1, n + 1)))
+        orbits.setdefault(canon, []).append(tuple(sorted(support)))
+    return {canon: sorted(members) for canon, members in sorted(orbits.items())}
+
+
+def bf_nontrivial_maximal(records):
+    """The non-trivial records no other non-trivial record's support
+    strictly contains, in input order, by testing every pair."""
+    nontrivial = [r for r in records if r.non_trivial]
+    return [
+        r for r in nontrivial
+        if not any(set(r.support) < set(other.support) for other in nontrivial)
+    ]

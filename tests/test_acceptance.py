@@ -20,7 +20,6 @@ import pytest
 
 from exact1q.classify import (
     classify_all,
-    group_orbits,
     nontrivial_catalog,
     reproduce_tables,
 )
@@ -46,7 +45,7 @@ from exact1q.poly import function_of, polynomial, represent
 from exact1q.reduction import ReducedFn, reduce
 from exact1q.simulate import SUCCESS_TOL, apply_oracle, prepare, success_probabilities
 
-from bruteforce import bf_decide_unreduced, bf_feasible, bf_group_ones
+from bruteforce import bf_decide_unreduced, bf_feasible, bf_group_ones, bf_group_orbits, bf_permute_support
 
 
 def masks(n, *bits):
@@ -155,7 +154,7 @@ def test_c2_four_bit_headline(records4):
     catalog = nontrivial_catalog(4)
     assert [rec.support for rec in catalog] == DERIVED_FOUR
     assert all(rec.non_trivial and rec.maximal for rec in catalog)
-    assert len(group_orbits([r.support for r in catalog], 4)) == 1
+    assert len(bf_group_orbits([r.support for r in catalog], 4)) == 1
 
     # the remaining six each admit a zero-weight witness; the probed
     # witness verifies, which is the disagreement evidence itself
@@ -431,12 +430,10 @@ def test_c9_property_suite(records3, records4):
                     assert by_support[rest].feasible
 
     # permutation equivariance across all 6 relabellings of 3 bits
-    from exact1q.classify import permute_support
-
     by_support3 = {rec.support: rec for rec in records3}
     for rec in records3:
         for perm in itertools.permutations((1, 2, 3)):
-            image = permute_support(rec.support, perm, 3)
+            image = bf_permute_support(rec.support, perm, 3)
             assert by_support3[image].feasible == rec.feasible
 
     # the difference-set size bound is necessary for feasibility

@@ -4,16 +4,18 @@ from hypothesis import given, settings, strategies as st
 from exact1q.classify import (
     ClassificationRecord,
     _key_support,
+    _orbits,
+    _vertex_table,
     classify_all,
     enumerate_reduced,
-    group_orbits,
     maximal_feasible,
     nontrivial_catalog,
-    orbit_canonical,
     reproduce_tables,
 )
 from exact1q.core import string_to_mask
-from exact1q.errors import ArityTooLargeError, SchemaError
+from exact1q.errors import ArityTooLargeError, InternalError, SchemaError
+
+from bruteforce import bf_group_orbits, bf_nontrivial_maximal
 
 
 def masks(n, *bits):
@@ -254,9 +256,35 @@ def test_arity_gate_rejects_non_positive_and_bool(entry, n):
 def test_orbit_canonicalization():
     a = masks(4, "1100", "1010", "1001", "0111")
     b = masks(4, "0011", "0101", "1001", "1110")  # relabelled image of a
-    assert orbit_canonical(a, 4) == orbit_canonical(b, 4)
-    orbits = group_orbits([a, b], 4)
-    assert len(orbits) == 1
+    assert bf_group_orbits([a, b], 4) == {min(a, b): [min(a, b), max(a, b)]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbits_match_bruteforce(n):
+    # orbits read from sorted witness weights, against all n! relabellings
+    records = maximal_feasible(n)
+    table = _vertex_table(n)
+    for recs in (records, [rec for rec in records if rec.non_trivial]):
+        assert _orbits(recs, table) == list(bf_group_orbits([rec.support for rec in recs], n).values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nontrivial_catalog_matches_pairwise_oracle(n):
+    # maximal and non-trivial is the same as non-trivial with no
+    # non-trivial strict superset at every arity the catalog reaches; both
+    # lists are in support-key order
+    assert nontrivial_catalog(n) == bf_nontrivial_maximal(classify_all(n))
+
+
+def test_orbits_refuse_what_the_witness_rule_does_not_cover(records3):
+    table = _vertex_table(3)
+    inner = next(rec for rec in records3 if rec.feasible and not rec.maximal)
+    with pytest.raises(InternalError, match="not a maximal class key"):
+        _orbits([inner], table)
+    # a class key carried by two rows no longer pins its polytope to a point
+    maximal = [rec for rec in records3 if rec.maximal]
+    with pytest.raises(InternalError, match="exactly one vertex"):
+        _orbits(maximal, table + table[:1])
 
 
 def test_witness_first_mode_matches_full_mode_maximal(records3):
@@ -297,8 +325,8 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     nontrivial = [rec.support for rec in recs if rec.non_trivial]
     assert len(recs) == 142
     assert len(nontrivial) == 85
-    assert len(group_orbits(supports, 5)) == 15
-    assert len(group_orbits(nontrivial, 5)) == 7
+    assert len(bf_group_orbits(supports, 5)) == 15
+    assert len(bf_group_orbits(nontrivial, 5)) == 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -70,6 +70,8 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["polyfn", "--coeffs", "1/0"], None),
         # within the arity cap, but 2**21 masks to list
         (["polyfn", "--coeffs", ",".join(["1/21"] * 21)], None),
+        # every mask of weight >= 11 of 21 bits: 1,048,576 masks to list
+        (["dj", "--n", "21"], None),
         (["construct", "--k", "0,2", "--a", "1/0"], None),
         (["construct", "--k", "a", "--a", "1/2"], None),
         (["decide", "{file}"], b"\xff\xfe{}"),
@@ -78,7 +80,7 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["decide", "{file}"], b'{"n": true, "ones": ["1"], "zeros": ["0"]}'),
         (["decide", "{file}"], b'{"n": ' + b"9" * 5000 + b', "ones": [], "zeros": []}'),
     ],
-    ids=["zero-denominator-coeffs", "polyfn-past-mask-cap", "zero-denominator-a", "non-integer-k",
+    ids=["zero-denominator-coeffs", "polyfn-past-mask-cap", "dj-past-mask-cap", "zero-denominator-a", "non-integer-k",
          "non-utf8-file", "negative-arity", "zero-arity", "bool-arity", "int-past-digit-limit"],
 )
 def test_bad_user_input_is_exit_2(capsys, tmp_path, argv, content):

@@ -12,7 +12,7 @@ from exact1q.construct import (
     profile,
 )
 from exact1q.core import hamming_weight, is_symmetric, mask_to_string
-from exact1q.errors import EmptySupportError, ProfileError
+from exact1q.errors import ArityTooLargeError, EmptySupportError, ProfileError
 from exact1q.feasibility import (
     FeasibilityResult,
     WeightVector,
@@ -129,6 +129,14 @@ def test_dj_family_small():
     assert [fn.ones for fn in dj_family(1)] == [(1,)]
     two = dj_family(2)
     assert [[mask_to_string(m, 2) for m in fn.ones] for fn in two] == [["01", "10"], ["11"]]
+
+
+def test_dj_family_refuses_past_the_listing_cap():
+    # refused before any level is listed; the message names the mask count
+    with pytest.raises(ArityTooLargeError, match="listing 1,048,576 masks; the cap is 20 variables"):
+        dj_family(21)
+    with pytest.raises(ArityTooLargeError, match="exceeds the cap of 24"):
+        dj_family(25)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -280,25 +280,6 @@ def test_oracle_equivalence_exhaustive_n3():
         assert decide_reduced(ReducedFn(3, support)).feasible == bf_feasible(3, support)
 
 
-def test_downward_closure_n3(records3):
-    by_support = {r.support: r for r in records3}
-    for rec in records3:
-        if rec.feasible and len(rec.support) > 1:
-            for m in rec.support:
-                smaller = tuple(x for x in rec.support if x != m)
-                assert by_support[smaller].feasible
-
-
-def test_permutation_equivariance_n3(records3):
-    from exact1q.classify import permute_support
-
-    by_support = {r.support: r for r in records3}
-    for rec in records3:
-        for perm in itertools.permutations((1, 2, 3)):
-            image = permute_support(rec.support, perm, 3)
-            assert by_support[image].feasible == rec.feasible
-
-
 def test_every_answer_verifies_n3(records3):
     for rec in records3:
         inst = ReducedFn(3, rec.support)
