@@ -19,8 +19,11 @@ class key, so neither the 2**31 supports nor the subsets of the rows are
 walked. The symmetric and level-confined flags are membership tests in
 two key sets built once per arity from the Hamming levels. The vertices
 are found in integers (fraction-free elimination, Cramer form,
-depth-first over shared row prefixes) and only for orbit representatives
-under bit relabelling, then closed under the n! relabellings.
+depth-first over shared row prefixes) by faces, arity by arity: a vertex
+on a sign wall is a vertex one bit down with a 0 inserted, so only the
+systems of level rows and the sum wall are walked (`_vertex_witnesses`).
+They are solved only for orbit representatives under bit relabelling and
+then closed under the n! relabellings.
 Orbits of maximal supports are read off their witnesses (`_orbits`); no
 support is ever relabelled.
 
@@ -33,6 +36,7 @@ the bundled catalog rows and itemizes every disagreement.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -43,7 +47,7 @@ from . import catalog
 from .construct import level_set
 from .core import check_arity, mask_bits, mask_to_string, string_to_mask
 from .errors import ArityTooLargeError, InternalError
-from .feasibility import FeasibilityResult, WeightVector, verify_result
+from .feasibility import FeasibilityResult, WeightVector, verify_result, verify_weights
 from .intlinalg import close_line, extend_echelon, solution_line
 from .poly import input_classes
 from .reduction import ReducedFn
@@ -311,51 +315,50 @@ def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
 # ---------------------------------------------------------------------------
 
 def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
-    """Rows [a | b] of the arrangement a.w = b in w = 2z (so every row is
-    integral), grouped into orbits under bit relabelling, largest first.
+    """Rows [a | b] of the level hyperplanes and the sum wall, a.w = b in
+    w = 2z (so every row is integral), grouped into orbits under bit
+    relabelling, largest first.
 
     A relabelling permutes the coordinates, so it maps the mask rows of
-    each Hamming weight onto each other, the sign walls w_i = 0 onto each
-    other, and fixes the sum wall sum(w) = 2.
+    each Hamming weight onto each other and fixes the sum wall sum(w) = 2.
+    The sign walls w_i = 0 are not walked: `_vertex_witnesses` reaches the
+    vertices on them from the arity below.
     """
     levels = [[mask_bits(mask, n) + (1,) for mask in level_set(n, c)] for c in range(1, n + 1)]
-    walls = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
-    # stable sort: ties keep level order, then walls, then the sum wall
-    return sorted(levels + [walls, [(1,) * n + (2,)]], key=len, reverse=True)
+    # stable sort: ties keep level order, then the sum wall
+    return sorted(levels + [[(1,) * n + (2,)]], key=len, reverse=True)
 
 
 def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
     """For each orbit j, the rows its systems draw from (orbit j, then
     every later orbit) and the stabiliser G_j of its first row: the index
-    map over those rows of each of the n! relabellings that fixes index 0.
-    A relabelling keeps every orbit, so it permutes these rows.
+    map over those rows of each relabelling that fixes index 0. A
+    relabelling keeps every orbit, so it permutes these rows; only the
+    relabellings that fix the first row's coefficients are mapped.
     """
     orbits = _arrangement_orbits(n)
     systems = []
     for j in range(len(orbits)):
         rows = [row for orbit in orbits[j:] for row in orbit]
         index = {row: i for i, row in enumerate(rows)}
+        first = rows[0][:n]
         # distinct maps only: late orbits' rows do not tell all bits apart
         stabiliser = {}
         for perm in itertools.permutations(range(n)):
-            image = tuple([index[tuple([row[p] for p in perm]) + row[n:]] for row in rows])
-            if image[0] == 0:
-                stabiliser[image] = None
+            if tuple([first[p] for p in perm]) == first:
+                stabiliser[tuple([index[tuple([row[p] for p in perm]) + row[n:]] for row in rows])] = None
         systems.append((rows, list(stabiliser)))
     return systems
 
 
-def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Vertices of the arrangement cut out by the level hyperplanes, the
-    sign walls and the sum wall that lie in the simplex z >= 0, sum(z) <= 1.
-
-    Each vertex is in Cramer form (nums, det), reduced by the gcd:
-    z = nums / (2 * det). Only orbit representatives are solved: orbit j
-    contributes the systems made of its first row plus n - 1 rows from
-    orbits j and later. Every system has a relabelling that moves one of
-    its rows from its lowest orbit onto that orbit's first row, so closing
-    the solutions under all n! coordinate permutations gives exactly the
-    full vertex set.
+def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
+    """The points with every z_i > 0 and sum(z) <= 1 cut out by n
+    independent rows of `_arrangement_orbits`, in lowest-terms Cramer form
+    (nums, det), for orbit representatives: orbit j contributes the systems
+    made of its first row plus n - 1 rows from orbits j and later. Every
+    system has a relabelling that moves one of its rows from its lowest
+    orbit onto that orbit's first row, so every such point is a relabelling
+    of one found.
 
     The systems are walked depth-first, rows in order, so each prefix is
     eliminated once for all its completions (`extend_echelon`) and a
@@ -364,13 +367,10 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     (`close_line`). A prefix is extended only while its set of row indices
     is the lexicographically smallest of its images under the stabiliser
     G_j of orbit j's first row (`_orbit_systems`), as in orderly generation
-    (Read 1978; McKay 1998). This loses no vertex: a set is lex-smallest
+    (Read 1978; McKay 1998). This loses no point: a set is lex-smallest
     only if it is so without its largest index, so the lex-smallest image
-    of every system is walked in full, and its vertex is a relabelling of
-    the system's. At n=5 that is 1,447 row steps, 974 lines and 8,200
-    closed systems (4,638 of them nonsingular), against 10,309, 7,960 and
-    67,309 without G_j and 435,897 square solves without orbits, for 148
-    vertices; at n=6, 44,650 row steps and 417,066 closes for 4,368.
+    of every system is walked in full, and its point is a relabelling of
+    the system's.
     """
     found: set[tuple[tuple[int, ...], int]] = set()
 
@@ -381,7 +381,7 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
                 point = close_line(line, row)
                 if point is not None:
                     nums, det = point
-                    if min(nums) >= 0 and sum(nums) <= 2 * det:
+                    if min(nums) > 0 and sum(nums) <= 2 * det:
                         found.add(point)
             return
         # rows[start:stop] leave enough rows after them to finish a system
@@ -400,10 +400,38 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     for rows, stabiliser in _orbit_systems(n):
         # the first row is always orbit j's first row
         walk(rows, [[1 << k for k in g] for g in stabiliser], 0, [0] * len(stabiliser), (), 0, 1)
+    return found
+
+
+def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Vertices of the arrangement cut out by the level hyperplanes, the
+    sign walls and the sum wall that lie in the simplex z >= 0, sum(z) <= 1,
+    in Cramer form (nums, det), reduced by the gcd: z = nums / (2 * det).
+
+    Found by faces, arity by arity. A vertex with z_i = 0 lies on the wall
+    w_i = 0, and on that face the arrangement is the (n - 1)-bit one: a
+    mask loses bit i, the singleton {i} becomes 0 = 1 and drops out, and
+    the other walls and the sum wall stay walls. So the vertex is an
+    (n - 1)-bit vertex with a 0 inserted at i, and every such insertion is
+    a vertex. A vertex with every z_i > 0 is on no wall, so it is cut out
+    by level rows and the sum wall alone (`_level_vertices`). Starting from
+    the origin at arity 0, arity k keeps one representative per orbit under
+    relabelling, its sorted nums: those of `_level_vertices(k)` and those
+    of arity k - 1 with a 0 prepended. The representatives of arity n are
+    then closed under the n! relabellings. Summed over arities 1..5 that is
+    899 row steps, 644 solution lines and 4,382 closed systems (2,719 of
+    them nonsingular) for the 148 vertices at n=5, against 1,447, 974,
+    8,200 and 4,638 when the walls are walked too; at n=6, 29,572 row
+    steps and 257,812 closes for 4,368, against 44,650 and 417,066.
+    """
+    reps = {((), 1)}
+    for k in range(1, n + 1):
+        found = _level_vertices(k) | {((0,) + nums, det) for nums, det in reps}
+        reps = {(tuple(sorted(nums)), det) for nums, det in found}
     return sorted(
         {
-            (tuple(nums[p] for p in perm), det)
-            for nums, det in found
+            (tuple([nums[p] for p in perm]), det)
+            for nums, det in reps
             for perm in itertools.permutations(range(n))
         }
     )
@@ -416,23 +444,28 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
 
     The 1-class of z = nums / (2 * det) is that of the polynomial
     2z = nums / det (`poly.input_classes`). Each row is verified on its
-    whole 1-class with its zero bits pinned, so its weights are a witness
-    for every support it covers. The 25 vertices at n=4 give 20 rows, the
-    148 at n=5 give 142.
+    whole 1-class with its zero bits pinned, in ints as (nums, 2 * det)
+    (`verify_weights`), so its weights are a witness for every support it
+    covers. Rows are sorted on exact integer keys: over the lcm L of all
+    dets, z_i is nums_i * (L // det) / (2 * L). The 25 vertices at n=4
+    give 20 rows, the 148 at n=5 give 142.
     """
+    vertices = _vertex_witnesses(n)
+    scale = math.lcm(*(det for _, det in vertices))
+    vertices.sort(key=lambda v: [x * (scale // v[1]) for x in reversed(v[0])])
     table = []
-    for nums, det in _vertex_witnesses(n):
+    for nums, det in vertices:
         support = input_classes(n, nums, det).one
         if support:
-            z = WeightVector(tuple(Fraction(v, 2 * det) for v in nums))
             zero_bits = [i for i, v in enumerate(nums, 1) if v == 0]
-            if not verify_result(ReducedFn(n, support), FeasibilityResult(True, witness=z), zero_bits):
+            z = WeightVector(tuple([Fraction(v, 2 * det) for v in nums]))
+            if not verify_weights(n, support, nums, 2 * det, zero_bits):
                 raise InternalError(
                     f"vertex z = ({', '.join(map(str, z.z))}) does not verify on "
                     f"its 1-class {_mask_labels(n, support)}"
                 )
             table.append((_support_key(support), _support_key(zero_bits), z))
-    return sorted(table, key=lambda row: row[2].z[::-1])
+    return table
 
 
 def _orbits(records: Iterable[ClassificationRecord], table: list) -> list[list[tuple[int, ...]]]:
@@ -445,16 +478,23 @@ def _orbits(records: Iterable[ClassificationRecord], table: list) -> list[list[t
     and v_{pi S} = pi v_S for every relabelling pi. So two such supports
     share an orbit iff their witnesses have equal sorted weights. Raises
     InternalError for a record where this does not hold.
+
+    The weights are compared as ints: a witness keys its orbit by the lcm
+    L of its denominators and its numerators over L, sorted, which is the
+    same as its sorted weights.
     """
     rows = Counter(cls for cls, _, _ in table)
-    orbits: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
+    orbits: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     for rec in records:
         if not rec.maximal or rows[_support_key(rec.support)] != 1:
             raise InternalError(
                 f"support {_mask_labels(rec.n, rec.support)} is not a maximal class key "
                 f"of exactly one vertex, so its orbit cannot be read from its witness"
             )
-        orbits.setdefault(tuple(sorted(rec.witness.z)), []).append(rec.support)
+        z = rec.witness.z
+        scale = math.lcm(*[v.denominator for v in z])
+        key = scale, tuple(sorted([v.numerator * (scale // v.denominator) for v in z]))
+        orbits.setdefault(key, []).append(rec.support)
     return sorted(sorted(members) for members in orbits.values())
 
 

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import PartialBooleanFn, diff_set, mask_bits
 from .errors import InternalError, SchemaError
@@ -354,13 +354,7 @@ def _verify_reduced(n, support, result, fixed):
         w = result.witness
         if w is None or result.certificate is not None or len(w.z) != n:
             return False
-        z, scale = _scaled(w.z)
-        if any(v < 0 for v in z) or any(z[i - 1] for i in fixed) or sum(z) > scale:
-            return False
-        for mask in support:
-            if 2 * sum(v for v, b in zip(z, mask_bits(mask, n)) if b) != scale:
-                return False
-        return True
+        return verify_weights(n, support, *_scaled(w.z), fixed)
 
     cert = result.certificate
     if cert is None or result.witness is not None:
@@ -377,6 +371,22 @@ def _verify_reduced(n, support, result, fixed):
             if b:
                 cols[i] += mu
     return all(c >= 0 for i, c in enumerate(cols, start=1) if i not in fixed)
+
+
+def verify_weights(
+    n: int, support: Iterable[int], weights: Sequence[int], scale: int, fixed: Iterable[int] = ()
+) -> bool:
+    """The witness check of `_verify_reduced` on integers: z = weights /
+    scale with scale > 0. Each z_i is non-negative, zero on the fixed bits,
+    they sum to at most 1, and each mask of the support sums them to 1/2,
+    compared as twice a row sum against scale. A vertex in Cramer form
+    nums / (2 * det) is checked as (nums, 2 * det) with no `Fraction`."""
+    if any(v < 0 for v in weights) or any(weights[i - 1] for i in fixed) or sum(weights) > scale:
+        return False
+    for mask in support:
+        if 2 * sum(v for v, b in zip(weights, mask_bits(mask, n)) if b) != scale:
+            return False
+    return True
 
 
 def verify_result(g: ReducedFn, result: FeasibilityResult, fixed: Iterable[int] = ()) -> bool:

@@ -314,11 +314,13 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     for name, attr in (("row", "extend_echelon"), ("line", "solution_line"), ("close", "close_line")):
         monkeypatch.setattr(classify, attr, counted(name, getattr(classify, attr)))
     recs = maximal_feasible(5)
-    # orbit representatives only, depth-first, each prefix lex-smallest
-    # under its orbit's stabiliser: 1,447 row steps (7 of them an orbit's
-    # first row), 974 lines, 8,200 last rows of which 4,638 meet their
-    # line; without the stabiliser 10,309, 7,960, 67,309 and 41,261
-    assert calls == {"row": 1447, "line": 974, "close": 8200, "point": 4638}
+    # level rows and the sum wall only, arities 1..5, orbit representatives
+    # only, depth-first, each prefix lex-smallest under its orbit's
+    # stabiliser: 899 row steps, 644 lines, 4,382 last rows of which 2,719
+    # meet their line; walking the sign walls too at n=5 alone took 1,447,
+    # 974, 8,200 and 4,638, and without the stabiliser 10,309, 7,960,
+    # 67,309 and 41,261
+    assert calls == {"row": 899, "line": 644, "close": 4382, "point": 2719}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -341,6 +343,48 @@ def test_vertex_witnesses_match_bruteforce(n):
 
     got = {tuple(Fraction(v, 2 * det) for v in nums) for nums, det in _vertex_witnesses(n)}
     assert got == bf_vertices(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vertices_on_a_wall_are_the_vertices_one_bit_down(n):
+    # the face argument of `_vertex_witnesses`, on the oracle: dropping a
+    # zero coordinate of any n-bit vertex gives exactly the (n-1)-bit
+    # vertex set, and the vertices off every wall need no wall row
+    from fractions import Fraction
+
+    from bruteforce import bf_vertices
+
+    from exact1q.classify import _level_vertices
+
+    vertices = bf_vertices(n)
+    below = bf_vertices(n - 1)
+    for i in range(n):
+        assert {v[:i] + v[i + 1:] for v in vertices if v[i] == 0} == below
+    interior = {v for v in vertices if min(v) > 0}
+    found = {tuple(Fraction(x, 2 * det) for x in nums) for nums, det in _level_vertices(n)}
+    assert found <= interior
+    assert {tuple(sorted(v)) for v in found} == {tuple(sorted(v)) for v in interior}
+
+
+def test_vertex_table_rows_verify_and_sort_by_reversed_weights():
+    # the integer self-check and sort key agree with the Fraction ones
+    from exact1q.classify import _vertex_table, _vertex_witnesses
+    from exact1q.feasibility import FeasibilityResult, verify_result, verify_weights
+    from exact1q.poly import input_classes
+    from exact1q.reduction import ReducedFn
+
+    for n in (3, 4, 5):
+        table = _vertex_table(n)
+        assert table == sorted(table, key=lambda row: row[2].z[::-1])
+        for cls, _, z in table:
+            assert verify_result(ReducedFn(n, _key_support(cls)), FeasibilityResult(True, witness=z))
+    nums, det = next(v for v in _vertex_witnesses(4) if min(v[0]) > 0)
+    classes = input_classes(4, nums, det)
+    assert verify_weights(4, classes.one, nums, 2 * det)
+    assert not verify_weights(4, classes.one + classes.star[:1], nums, 2 * det)
+    assert not verify_weights(4, (), (-1,) + nums[1:], 2 * det)
+    assert not verify_weights(4, (), nums, 2 * det, [1])
+    assert not verify_weights(4, (), (2 * det + 1,) + nums[1:], 2 * det)
 
 
 def test_vertex_witnesses_n5_pinned():
@@ -386,8 +430,9 @@ def test_orbit_stabilisers_fix_the_first_row(n):
         assert len(set(stabiliser)) == len(stabiliser)
         assert tuple(range(len(rows))) in stabiliser
         if len(orbits[j]) > 1:
-            # the rows include the sign walls, so distinct relabellings
-            # give distinct maps: |G_j| * |orbit j| = n!
+            # orbit j is a Hamming level 0 < c < n, whose masks tell all
+            # bits apart, so distinct relabellings give distinct maps:
+            # |G_j| * |orbit j| = n!
             assert len(stabiliser) * len(orbits[j]) == factorial(n)
         for g in stabiliser:
             assert g[0] == 0
@@ -400,8 +445,9 @@ def test_orbit_stabilisers_fix_the_first_row(n):
                 for perm in itertools.permutations(range(n))
             )
     if n == 5:
+        # levels 2 and 3, then levels 1 and 4; no sign-wall orbit
         assert [len(stabiliser) for (_, stabiliser), orbit in zip(systems, orbits) if len(orbit) > 1] == [
-            12, 12, 24, 24, 24,
+            12, 12, 24, 24,
         ]
 
 
