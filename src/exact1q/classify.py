@@ -47,7 +47,7 @@ from . import catalog
 from .construct import level_set
 from .core import check_arity, mask_bits, mask_to_string, string_to_mask
 from .errors import ArityTooLargeError, InternalError
-from .feasibility import FeasibilityResult, WeightVector, verify_result, verify_weights
+from .feasibility import FeasibilityResult, WeightVector, _scaled, verify_result, verify_weights
 from .intlinalg import close_line, extend_echelon, solution_line
 from .poly import input_classes
 from .reduction import ReducedFn
@@ -83,12 +83,6 @@ class ClassificationRecord(NamedTuple):
             and not self.symmetric
             and not self.dj_computable
         )
-
-    def support_strings(self) -> tuple[str, ...]:
-        return _mask_labels(self.n, self.support)
-
-    def included_by_strings(self) -> tuple[str, ...]:
-        return _mask_labels(self.n, self.included_by or ())
 
 
 @lru_cache(maxsize=None)
@@ -491,10 +485,8 @@ def _orbits(records: Iterable[ClassificationRecord], table: list) -> list[list[t
                 f"support {_mask_labels(rec.n, rec.support)} is not a maximal class key "
                 f"of exactly one vertex, so its orbit cannot be read from its witness"
             )
-        z = rec.witness.z
-        scale = math.lcm(*[v.denominator for v in z])
-        key = scale, tuple(sorted([v.numerator * (scale // v.denominator) for v in z]))
-        orbits.setdefault(key, []).append(rec.support)
+        nums, scale = _scaled(rec.witness.z)
+        orbits.setdefault((scale, tuple(sorted(nums))), []).append(rec.support)
     return sorted(sorted(members) for members in orbits.values())
 
 

@@ -59,9 +59,10 @@ class WeightVector:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(v < 0 for v in self.z):
+        nums, scale = _scaled(self.z)
+        if any(v < 0 for v in nums):
             raise SchemaError("weight vector entries must be non-negative")
-        if sum(self.z, _ZERO) > 1:
+        if sum(nums) > scale:
             raise SchemaError("weight vector entries must sum to at most 1")
 
     @property

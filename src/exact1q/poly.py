@@ -11,14 +11,13 @@ input classes a given admissible polynomial defines, in ints
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import AssignmentMask, check_arity, check_listing, mask_bits, mask_to_string
 from .errors import ArityMismatchError, InvalidFormError, NotFeasibleError
-from .feasibility import decide_reduced
+from .feasibility import _scaled, decide_reduced
 from .reduction import ReducedFn
 
 _TWO = Fraction(2)
@@ -132,5 +131,4 @@ def function_of(p: Degree1Polynomial) -> InputClasses:
     p.check_admissible()
     n = check_arity(p.n)
     check_listing(n, 1 << n, "the input classes")
-    den = math.lcm(*(c.denominator for c in p.coefficients))
-    return input_classes(n, [c.numerator * (den // c.denominator) for c in p.coefficients], den)
+    return input_classes(n, *_scaled(p.coefficients))

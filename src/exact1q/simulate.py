@@ -6,67 +6,72 @@ input's sign flips, and measures against the projector onto the span of
 the post-query states of the 0-inputs; a valid weight vector makes that
 span orthogonal to every 1-input state, so the correct answer appears
 with probability 1. This module is the only place floats are allowed,
-and every comparison against it carries an explicit tolerance. numpy is
-imported inside the functions, so `import exact1q` does not load it.
+and every comparison against it carries an explicit tolerance. States
+are tuples of Python floats, and every dot product is `math.fsum` of the
+products, which is exactly rounded (Shewchuk 1997, Discrete Comput.
+Geom. 18), so a run gives the same floats on every platform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import mul
+from typing import Sequence
 
 from .core import AssignmentMask, PartialBooleanFn, mask_to_string, sign_vector
 from .errors import ArityMismatchError, DegenerateSpanError, SchemaError
 from .feasibility import WeightVector
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NORM_TOL = 1e-12
 RANK_TOL = 1e-10
 SUCCESS_TOL = 1e-9
 
 
-def prepare(z: WeightVector) -> np.ndarray:
-    """Pre-query amplitudes: sqrt(z0) on position 0, sqrt(z_i) on position i."""
-    import numpy as np
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(mul, a, b))
 
-    amps = np.array([math.sqrt(z.z0)] + [math.sqrt(v) for v in z.z], dtype=float)
-    if abs(float(np.dot(amps, amps)) - 1.0) > NORM_TOL:
+
+def prepare(z: WeightVector) -> tuple[float, ...]:
+    """Pre-query amplitudes: sqrt(z0) on position 0, sqrt(z_i) on position i."""
+    amps = (math.sqrt(z.z0), *map(math.sqrt, z.z))
+    if abs(_dot(amps, amps) - 1.0) > NORM_TOL:
         raise SchemaError("weight vector does not normalize")
     return amps
 
 
-def apply_oracle(state: np.ndarray, x: AssignmentMask, n: int | None = None) -> np.ndarray:
+def apply_oracle(
+    state: Sequence[float], x: AssignmentMask, n: int | None = None
+) -> tuple[float, ...]:
     """Sign-flip amplitudes on positions whose input bit is 1; unitary by construction."""
-    import numpy as np
-
     if n is None:
         n = len(state) - 1
     if len(state) != n + 1:
         raise ArityMismatchError(f"state has {len(state)} amplitudes, expected {n + 1}")
     if not 0 <= x < 1 << n:
         raise ArityMismatchError(f"mask {x} out of range for arity {n}")
-    return state * np.array(sign_vector(x, n), dtype=float)
+    return tuple(map(mul, state, sign_vector(x, n)))
 
 
-def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
+def _orthonormal_basis(states: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     """Modified Gram-Schmidt with column pivoting; drops directions whose
     residual norm falls under RANK_TOL (0-input states may be dependent)."""
-    import numpy as np
-
-    cols = [columns[:, j].astype(float).copy() for j in range(columns.shape[1])]
-    basis: list[np.ndarray] = []
+    cols = list(states)
+    basis = []
     while cols:
-        norms = [float(np.linalg.norm(c)) for c in cols]
-        k = max(range(len(cols)), key=lambda j: norms[j])
+        norms = [math.sqrt(_dot(c, c)) for c in cols]
+        k = max(range(len(cols)), key=norms.__getitem__)
         if norms[k] < RANK_TOL:
             break
-        q = cols.pop(k) / norms[k]
+        norm = norms[k]
+        q = tuple([v / norm for v in cols.pop(k)])
         basis.append(q)
-        cols = [c - np.dot(q, c) * q for c in cols]
-    return np.array(basis)
+        residues = []
+        for c in cols:
+            d = _dot(q, c)
+            residues.append(tuple([v - d * u for v, u in zip(c, q)]))
+        cols = residues
+    return basis
 
 
 @dataclass(frozen=True)
@@ -101,18 +106,16 @@ def success_probabilities(f: PartialBooleanFn, z: WeightVector) -> SimulationRep
         raise ArityMismatchError(f"weight vector has {len(z.z)} entries, function has {f.n}")
     if not f.zeros:
         raise DegenerateSpanError("no 0-inputs: the accepting projector is undefined")
-    import numpy as np
 
     start = prepare(z)
-    zero_states = np.column_stack([apply_oracle(start, a, f.n) for a in f.zeros])
-    basis = _orthonormal_basis(zero_states)
+    basis = _orthonormal_basis([apply_oracle(start, a, f.n) for a in f.zeros])
 
     zeros = set(f.zeros)
     per_input: dict[int, tuple[float, float]] = {}
     min_success = 1.0
     for x in f.domain:
         s = apply_oracle(start, x, f.n)
-        p0 = float(np.sum(np.dot(basis, s) ** 2)) if len(basis) else 0.0
+        p0 = math.fsum([_dot(q, s) ** 2 for q in basis])
         p0 = min(max(p0, 0.0), 1.0)
         p1 = 1.0 - p0
         per_input[x] = (p0, p1)

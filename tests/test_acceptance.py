@@ -14,8 +14,8 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from operator import mul
 
-import numpy as np
 import pytest
 
 from exact1q.classify import (
@@ -407,7 +407,7 @@ def test_c8_simulator_soundness(records3, records4):
         for x in (0,) + rec.support:
             sx = apply_oracle(start, x, 3)
             exact = sum(s * v for s, v in zip(sign_vector(x, 3), full))
-            assert abs(float(np.dot(s0, sx)) - float(exact)) < 1e-9
+            assert abs(math.fsum(map(mul, s0, sx)) - float(exact)) < 1e-9
             pairs += 1
     print(
         f"criterion 8: PASS - min_success >= 1-1e-9 on all {checked} feasible "

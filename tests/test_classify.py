@@ -487,6 +487,17 @@ def test_reproduce_tables_n3_rows_agree():
     assert len(report.unlisted_maximal_orbits) == 2
 
 
+def test_reproduce_tables_flags_false_inclusion(monkeypatch):
+    # a catalog row claiming {011} lies inside {100}, which it does not
+    from exact1q import catalog
+
+    row = catalog.CatalogRow(("011",), None, "included", included_in=("100",))
+    monkeypatch.setattr(catalog, "rows_for", lambda n: (row,))
+    (check,) = reproduce_tables(3).rows
+    assert check.notes == ("claimed inclusion does not hold",)
+    assert not check.agree
+
+
 def test_reproduce_tables_classifies_once(monkeypatch):
     from exact1q import classify
 

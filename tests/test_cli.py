@@ -212,9 +212,10 @@ def test_public_names_resolve():
     assert [name for name in exact1q.__all__ if not hasattr(exact1q, name)] == []
 
 
-def test_import_does_not_load_numpy():
-    # numpy is for the simulator only; every other command starts without it,
-    # and nothing starts a process pool
+def test_import_does_not_load_numpy(deutsch_file, tmp_path):
+    # the package needs only the standard library: the CLI starts without
+    # numpy, every command runs with numpy blocked, and nothing starts a
+    # process pool
     import exact1q
 
     src = str(Path(exact1q.__file__).parents[1])
@@ -224,6 +225,46 @@ def test_import_does_not_load_numpy():
     )
     probe = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"])
     assert probe.returncode == 0
+
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"z0": "0", "z": ["1/2", "1/2"]}))
+    commands = [
+        ["decide", deutsch_file],
+        ["reduce", deutsch_file],
+        ["represent", deutsch_file],
+        ["polyfn", "--coeffs", "1/2,1/4,1/4"],
+        ["construct", "--k", "0,2,6", "--a", "1/6,1/12"],
+        ["dj", "--n", "4"],
+        ["enumerate", "--n", "3"],
+        ["tables", "--n", "3"],
+        ["simulate", deutsch_file, "--witness", str(wfile)],
+    ]
+    outs = [tmp_path / f"{argv[0]}.out" for argv in commands]
+    # a None entry in sys.modules makes every `import numpy` raise ImportError
+    blocked = (
+        "import json, sys; sys.modules['numpy'] = None; "
+        f"sys.path.insert(0, {src!r}); from exact1q.cli import main; "
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    )
+    argvs = [argv + ["--out", str(out)] for argv, out in zip(commands, outs)]
+    probe = subprocess.run([sys.executable, "-c", blocked, json.dumps(argvs)])
+    assert probe.returncode == 0
+    assert all(out.stat().st_size for out in outs)
+    assert json.loads(outs[-1].read_text())["min_success"] >= 1 - 1e-9
+
+
+def test_internal_error_is_exit_4(capsys, monkeypatch, deutsch_file):
+    from exact1q import cli
+    from exact1q.errors import InternalError
+
+    def broken(f):
+        raise InternalError("solver self-check failed")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    code, out, err = run(capsys, "decide", deutsch_file)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("exact1q: internal error: solver self-check failed")
 
 
 def test_tables_n3_report(capsys, tmp_path):

@@ -261,8 +261,12 @@ def test_verify_result_rejects_corrupted_answers():
     bad = FeasibilityResult(True, witness=WeightVector((F(1, 4), F(1, 4), F(1, 2))))
     assert not verify_result(inst, bad)
 
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="must be non-negative"):
         WeightVector((F(-1, 4), F(1, 4), F(1, 4)))
+    # the sum bound is exact over mixed denominators: 1 is allowed, 1 + 10^-30 is not
+    assert WeightVector((F(1, 2), F(1, 3), F(1, 6))).z0 == 0
+    with pytest.raises(SchemaError, match="must sum to at most 1"):
+        WeightVector((F(1, 2), F(1, 3), F(1, 6) + F(1, 10**30)))
 
     infeasible = g(3, "001", "010", "111")
     cert = decide_reduced(infeasible).certificate
