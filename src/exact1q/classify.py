@@ -9,23 +9,28 @@ reversed-z order. No LP is solved: each vertex is verified once, on its
 whole 1-class with its zero bits pinned. Feasibility, removable bits and
 witness come from one cover map, built by walking every nonempty subset
 of each row's class key in table order: the supports a row covers are
-exactly those subsets, so the walk reaches only feasible keys.
+exactly those subsets, so the walk reaches only feasible keys. So does
+maximality, with no sweep over pairs of keys: each key keeps the first
+class key that reaches it, more masks first, which is the key itself iff
+it is maximal and otherwise its first maximal strict superset. A record
+therefore depends only on its key and the table.
 Full-subset mode reads every nonempty support over the nonzero masks
 (gated to n <= 4; 32767 supports, 2195 of them feasible, reached in 2940
 subset steps over the 20 table rows at n=4). At n=5 only the maximal
-feasible supports are read, the 142 maximal 1-classes of the 148
-vertices. A maximal key is covered only by the rows with exactly that
-class key, so neither the 2**31 supports nor the subsets of the rows are
-walked. The symmetric and level-confined flags are membership tests in
-two key sets built once per arity from the Hamming levels. The vertices
-are found in integers (fraction-free elimination, Cramer form,
+feasible supports are read, the 142 1-classes of the 148 vertices. Every
+row's 1-class has rank n, which the table checks once per orbit, so its
+polytope is the one vertex: each class key is maximal and covered by its
+own row alone, and neither the 2**31 supports nor the subsets of the
+rows are walked. The symmetric and level-confined flags are membership
+tests in two key sets built once per arity from the Hamming levels. The
+vertices are found in integers (fraction-free elimination, Cramer form,
 depth-first over shared row prefixes) by faces, arity by arity: a vertex
 on a sign wall is a vertex one bit down with a 0 inserted, so only the
 systems of level rows and the sum wall are walked (`_vertex_witnesses`).
 They are solved only for orbit representatives under bit relabelling and
 then closed under the n! relabellings.
-Orbits of maximal supports are read off their witnesses (`_orbits`); no
-support is ever relabelled.
+Orbits of maximal supports are read off their witnesses (`_orbits`), by
+the same rank fact; no support is ever relabelled.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,77 +173,63 @@ def _dj_keys(n: int) -> frozenset[int]:
     return frozenset(sub for level in _level_keys(n)[(n - 1) // 2:] for sub in _subkeys(level))
 
 
-def _inclusion(keys: Iterable[int]) -> dict[int, int | None]:
-    """Each distinct support key mapped to its first maximal strict
-    superset among `keys`, or to None when it is maximal.
-
-    One sweep in (-popcount, key) order, which is also the order "first"
-    refers to: a strict superset has more masks, so every maximal key is
-    met before its subsets. Subset tests are bitset tests on the keys.
-    """
-    maximal: list[int] = []
-    parents: dict[int, int | None] = {}
-    for key in sorted(set(keys), key=lambda k: (-k.bit_count(), k)):
-        parent = next((m for m in maximal if key & m == key), None)
-        if parent is None:
-            maximal.append(key)
-        parents[key] = parent
-    return parents
+Cover = dict[int, tuple[WeightVector, int, int]]
 
 
-Cover = dict[int, tuple[WeightVector, int]]
-
-
-def _cover(reached: Iterable[tuple[int, int, WeightVector]]) -> Cover:
+def _cover(reached: Iterable[tuple[int, int, int, WeightVector]]) -> Cover:
     """Each key a vertex-table row reaches, mapped to (witness, zero-bit
-    key): `reached` gives (key, zero-bit key, weights) once per row that
-    reaches the key, rows in table order. The first row gives the witness
-    and every row ORs in its zero bits.
+    key, class key): `reached` gives (key, class key, zero-bit key,
+    weights) once per row that reaches the key, rows in table order. The
+    first row gives the witness, every row ORs in its zero bits, and the
+    class key kept is the first of the reaching rows' in (-popcount, key)
+    order.
 
-    A table row is itself (class key, zero-bit key, weights), so passed
-    the table, it reads each class key from the rows with exactly that
-    class key: those are all the rows covering it when it is maximal.
+    That class key is the key itself iff the key is maximal, and otherwise
+    its first maximal strict superset. No invariant of the table is needed:
+    every feasible superset of the key lies inside some reaching row's
+    class key, and the first such class key has nothing feasible above it.
     """
     cover: Cover = {}
-    for key, zeros, z in reached:
+    for key, cls, zeros, z in reached:
         hit = cover.get(key)
-        cover[key] = (z, zeros) if hit is None else (hit[0], hit[1] | zeros)
+        if hit is not None:
+            z, zeros, cls = hit[0], hit[1] | zeros, min(hit[2], cls, key=lambda k: (-k.bit_count(), k))
+        cover[key] = z, zeros, cls
     return cover
 
 
-def _subset_walk(table: list) -> Iterator[tuple[int, int, WeightVector]]:
-    """(key, zero-bit key, weights) for every nonempty subset of every
-    row's class key, rows in table order: each row reaches exactly the
-    supports it covers (2940 steps over the 20 rows at n=4, 97 at n=3)."""
-    for cls, zeros, z in table:
-        for key in _subkeys(cls):
-            yield key, zeros, z
+def _subset_walk(table: list) -> Iterator[tuple[int, int, int, WeightVector]]:
+    """(key, class key, zero-bit key, weights) for every nonempty subset
+    of every row's class key, rows in table order: each row reaches exactly
+    the supports it covers (2940 steps over the 20 rows at n=4, 97 at n=3)."""
+    for row in table:
+        for key in _subkeys(row[0]):
+            yield (key, *row)
 
 
 def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRecord]:
     """The record of each support key in `keys`, in that order, read from
-    the cover map of the vertex table of arity n (`_cover`).
+    the cover map of the vertex table of arity n (`_cover`), so a record
+    depends only on its key and the table.
 
     A key is feasible iff some row's class key contains it, its removable
-    bits are the union of the zero bits of those rows, and its witness is
-    the first one's weights: `cover.get(key)` holds both, or is missing
-    for an infeasible key. This is exact: for a support S with bits F
-    pinned to zero, the polytope {S's rows, z >= 0, sum(z) <= 1, z_F = 0}
-    is bounded, so if it is nonempty it has a vertex made of n independent
-    tight rows of the arrangement, which the table lists with a 1-class
-    containing S and weight 0 on F. Feasible keys are marked maximal or
-    given their first maximal superset among the feasible keys in `keys`
-    (`_inclusion`). The level flags are membership tests in the key sets
-    `_symmetric_keys` and `_dj_keys`. Every mask tuple (support, removable
-    bits, parent) is read from its key by `_key_support`, and each record
-    is built positionally, one tuple allocation (32,767 at n=4).
+    bits are the union of the zero bits of those rows, its witness is the
+    first one's weights, and it is maximal iff the class key kept is the
+    key itself, else included by that class key: `cover.get(key)` holds
+    all three, or is missing for an infeasible key. This is exact: for a
+    support S with bits F pinned to zero, the polytope {S's rows, z >= 0,
+    sum(z) <= 1, z_F = 0} is bounded, so if it is nonempty it has a vertex
+    made of n independent tight rows of the arrangement, which the table
+    lists with a 1-class containing S and weight 0 on F. The level flags
+    are membership tests in the key sets `_symmetric_keys` and `_dj_keys`.
+    Every mask tuple (support, removable bits, parent) is read from its key
+    by `_key_support`, and each record is built positionally, one tuple
+    allocation (32,767 at n=4).
     """
-    parents = _inclusion(key for key in keys if key in cover)
     symmetric, dj_computable = _symmetric_keys(n), _dj_keys(n)
     records = []
     for key in keys:
         hit = cover.get(key)
-        parent = parents.get(key)
         records.append(
             ClassificationRecord(
                 n,
@@ -249,8 +239,8 @@ def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRe
                 key in symmetric,
                 key in dj_computable,
                 () if hit is None else _key_support(hit[1]),
-                hit is not None and parent is None,
-                None if parent is None else _key_support(parent),
+                hit is not None and hit[2] == key,
+                None if hit is None or hit[2] == key else _key_support(hit[2]),
             )
         )
     return records
@@ -283,15 +273,14 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
     """Feasible supports with no feasible strict superset, in support-key
-    order: the class keys of the vertex table that `_records` marks
-    maximal. A maximal key is covered only by the rows with exactly that
-    class key, so the cover map is read off the table itself, with no
-    subset walk."""
+    order: the records of the vertex table's rows. Every row's 1-class has
+    rank n (`_vertex_table`), so each class key is maximal and is covered
+    by its own row alone, and every maximal key is some row's class key:
+    the cover map is read off the table itself, with no subset walk."""
     if check_arity(n) > VERTEX_MODE_MAX:
         raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
     table = _vertex_table(n)
-    records = _records(n, sorted({cls for cls, _, _ in table}), _cover(table))
-    return [rec for rec in records if rec.maximal]
+    return _records(n, sorted(row[0] for row in table), _cover((row[0], *row) for row in table))
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
@@ -443,11 +432,20 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
     covers. Rows are sorted on exact integer keys: over the lcm L of all
     dets, z_i is nums_i * (L // det) / (2 * L). The 25 vertices at n=4
     give 20 rows, the 148 at n=5 give 142.
+
+    Each row's 1-class K must have mask rows of rank n, or InternalError is
+    raised. Then K . z = 1/2 has the one solution z, so K's polytope {K's
+    rows, z >= 0, sum(z) <= 1} is the single point z: a feasible S that
+    contains K has its polytope inside it, so S = K. K is maximal and the
+    class key of this row alone. A relabelling keeps the rank, so it is
+    checked once per orbit (sorted nums), one `extend_echelon` step per
+    mask until rank n (95 steps for the 15 orbits at n=5, 507 for the 63
+    at n=6).
     """
     vertices = _vertex_witnesses(n)
     scale = math.lcm(*(det for _, det in vertices))
     vertices.sort(key=lambda v: [x * (scale // v[1]) for x in reversed(v[0])])
-    table = []
+    table, ranked = [], set()
     for nums, det in vertices:
         support = input_classes(n, nums, det).one
         if support:
@@ -458,32 +456,44 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
                     f"vertex z = ({', '.join(map(str, z.z))}) does not verify on "
                     f"its 1-class {_mask_labels(n, support)}"
                 )
+            if (orbit := (tuple(sorted(nums)), det)) not in ranked:
+                # the bit rows of the 1-class, one row step each until rank n
+                prefix = ()
+                for mask in support:
+                    prefix = extend_echelon(prefix, mask_bits(mask, n), n) or prefix
+                    if len(prefix) == n:
+                        break
+                else:
+                    raise InternalError(
+                        f"the 1-class {_mask_labels(n, support)} of vertex "
+                        f"z = ({', '.join(map(str, z.z))}) has rank below {n}"
+                    )
+                ranked.add(orbit)
             table.append((_support_key(support), _support_key(zero_bits), z))
     return table
 
 
-def _orbits(records: Iterable[ClassificationRecord], table: list) -> list[list[tuple[int, ...]]]:
+def _orbits(records: Iterable[ClassificationRecord]) -> list[list[tuple[int, ...]]]:
     """The supports of maximal records grouped into orbits under bit
     relabelling: each orbit ascending, orbits ordered by smallest member.
 
-    Every vertex of a maximal support S's polytope {S's rows, z >= 0,
-    sum(z) <= 1} has a 1-class containing S, hence equal to S. If exactly
-    one table row has class key S, that polytope is the single point v_S,
-    and v_{pi S} = pi v_S for every relabelling pi. So two such supports
-    share an orbit iff their witnesses have equal sorted weights. Raises
-    InternalError for a record where this does not hold.
+    A maximal support S is the class key of exactly one table row, whose
+    1-class has rank n (`_vertex_table`), so S's polytope {S's rows,
+    z >= 0, sum(z) <= 1} is the single point v_S, and v_{pi S} = pi v_S
+    for every relabelling pi. So two maximal supports share an orbit iff
+    their witnesses have equal sorted weights. Raises InternalError for a
+    record that is not maximal.
 
     The weights are compared as ints: a witness keys its orbit by the lcm
     L of its denominators and its numerators over L, sorted, which is the
     same as its sorted weights.
     """
-    rows = Counter(cls for cls, _, _ in table)
     orbits: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     for rec in records:
-        if not rec.maximal or rows[_support_key(rec.support)] != 1:
+        if not rec.maximal:
             raise InternalError(
-                f"support {_mask_labels(rec.n, rec.support)} is not a maximal class key "
-                f"of exactly one vertex, so its orbit cannot be read from its witness"
+                f"support {_mask_labels(rec.n, rec.support)} is not maximal, "
+                f"so its orbit cannot be read from its witness"
             )
         nums, scale = _scaled(rec.witness.z)
         orbits.setdefault((scale, tuple(sorted(nums))), []).append(rec.support)
@@ -559,8 +569,8 @@ def _catalog_support(bits: Iterable[str], n: int) -> tuple[int, ...]:
 
 
 def reproduce_tables(n: int) -> TableReport:
-    """Re-derive the bundled catalog at arity 3 or 4 against a full run
-    (`catalog.rows_for` rejects any other arity).
+    """Re-derive the bundled catalog at arity 3 or 4 against the full
+    cover map (`catalog.rows_for` rejects any other arity).
 
     Every row's claimed weights are re-verified exactly; every row's
     classification is re-derived from scratch; maximal supports the
@@ -571,15 +581,18 @@ def reproduce_tables(n: int) -> TableReport:
     """
     rows = catalog.rows_for(check_arity(n))
     table = _vertex_table(n)
-    records = _records(n, _every_key(n), _cover(_subset_walk(table)))
-    by_support = {r.support: r for r in records}
+    cover = _cover(_subset_walk(table))
+    # a record depends only on its key, so only the maximal ones and the
+    # catalog's own supports are built
+    maximal = _records(n, sorted(key for key, hit in cover.items() if hit[2] == key), cover)
+    maximal_by_support = {r.support: r for r in maximal}
 
     checks: list[RowCheck] = []
     discrepancies: list[str] = []
     for row in rows:
         support = _catalog_support(row.support, n)
         support_label = ",".join(_mask_labels(n, support))
-        rec = by_support[support]
+        (rec,) = _records(n, [_support_key(support)], cover)
         g = ReducedFn(n, support)
         claimed = row.weight_fractions()
         weights_valid: bool | None = None
@@ -607,7 +620,7 @@ def reproduce_tables(n: int) -> TableReport:
         elif row.kind == "included":
             parent = _catalog_support(row.included_in, n)
             inside = set(support) < set(parent)
-            parent_ok = by_support[parent].feasible
+            parent_ok = _support_key(parent) in cover
             agree = agree and inside and parent_ok
             if not inside:
                 notes.append("claimed inclusion does not hold")
@@ -644,22 +657,20 @@ def reproduce_tables(n: int) -> TableReport:
             )
         )
 
-    feasible_records = sum(1 for r in records if r.feasible)
-    maximal = [r for r in records if r.maximal]
     listed = {_catalog_support(row.support, n) for row in rows}
-    unlisted_orbits = [orbit[0] for orbit in _orbits(maximal, table) if listed.isdisjoint(orbit)]
+    unlisted_orbits = [orbit[0] for orbit in _orbits(maximal) if listed.isdisjoint(orbit)]
     for canon in unlisted_orbits:
         discrepancies.append(
             "maximal support orbit not in catalog: "
             + ",".join(_mask_labels(n, canon))
             + " (trivial: "
-            + _derived_kind(by_support[canon])
+            + _derived_kind(maximal_by_support[canon])
             + ")"
         )
 
     derived_nontrivial = [r for r in maximal if r.non_trivial]
     nt_supports = [r.support for r in derived_nontrivial]
-    nt_orbits = _orbits(derived_nontrivial, table)
+    nt_orbits = _orbits(derived_nontrivial)
     claimed_nt = [_catalog_support(row.support, n) for row in rows if row.kind == "nontrivial"]
     count_matches = len(nt_supports) == len(claimed_nt)
     if not count_matches:
@@ -671,8 +682,8 @@ def reproduce_tables(n: int) -> TableReport:
     return TableReport(
         n=n,
         rows=tuple(checks),
-        total_records=len(records),
-        feasible_records=feasible_records,
+        total_records=len(_every_key(n)),
+        feasible_records=len(cover),
         maximal_supports=tuple(_mask_labels(n, s) for s in sorted(r.support for r in maximal)),
         unlisted_maximal_orbits=tuple(_mask_labels(n, s) for s in unlisted_orbits),
         nontrivial_supports=tuple(_mask_labels(n, s) for s in nt_supports),

@@ -106,8 +106,8 @@ _CSV_COLUMNS = (
 _BOOL = ("false", "true")
 
 
-def _record_row(rec) -> list[str]:
-    names = _mask_strings(rec.n)
+def _record_row(rec, names: tuple[str, ...]) -> list[str]:
+    """The CSV cells of a record; `names` is `_mask_strings` of its arity."""
     fewer_bits = rec.fewer_bits
     return [
         ";".join([names[m] for m in rec.support]),
@@ -123,12 +123,13 @@ def _record_row(rec) -> list[str]:
 
 
 def _cmd_enumerate(args) -> None:
-    records = enumerate_reduced(args.n)
+    # the records come first: they check the arity before any label is built
+    records, names = list(enumerate_reduced(args.n)), _mask_strings(args.n)
     if args.format == "csv":
-        lines = [",".join(_CSV_COLUMNS)] + [",".join(_record_row(rec)) for rec in records]
+        lines = [",".join(_CSV_COLUMNS)] + [",".join(_record_row(rec, names)) for rec in records]
         _write("\n".join(lines) + "\n", args.out)
     else:
-        payload = [dict(zip(_CSV_COLUMNS, _record_row(rec))) for rec in records]
+        payload = [dict(zip(_CSV_COLUMNS, _record_row(rec, names))) for rec in records]
         _emit(payload, args.out)
 
 

@@ -16,7 +16,8 @@ the support against every row, the masks of a support key by
 testing its bits one at a time, relabelled supports by moving each
 mask's bits one at a time (`bf_permute_support`), orbits under bit
 relabelling by trying all n! relabellings of every support
-(`bf_group_orbits`), and the non-trivial records with no non-trivial
+(`bf_group_orbits`), maximal supersets by testing every pair of keys
+(`bf_inclusion`), and the non-trivial records with no non-trivial
 strict superset by testing every pair (`bf_nontrivial_maximal`).
 """
 
@@ -272,18 +273,37 @@ def bf_vertices(n: int):
     return out
 
 
+def bf_inclusion(keys):
+    """Each distinct support key mapped to its first maximal strict
+    superset among `keys`, or to None when no key strictly contains it, by
+    testing every pair. "First" is more masks first, then the smaller key."""
+    keys = set(keys)
+
+    def inside(k, m):
+        return k & m == k and k != m
+
+    maximal = [m for m in keys if not any(inside(m, o) for o in keys)]
+    return {
+        k: min((m for m in maximal if inside(k, m)), key=lambda m: (-bin(m).count("1"), m), default=None)
+        for k in keys
+    }
+
+
 def bf_cover(table, key: int):
-    """(witness, zero-bit key) of a support key read from vertex-table rows
-    (class key, zero-bit key, weights) by scanning every row: the rows
-    whose class key contains the key, the first one's weights and the OR
-    of their zero bits; None when no row covers the key."""
+    """(witness, zero-bit key, parent) of a support key read from
+    vertex-table rows (class key, zero-bit key, weights) by scanning every
+    row: the rows whose class key contains the key, the first one's
+    weights, the OR of their zero bits, and the first of their class keys
+    that none of them strictly contains (`bf_inclusion`), which is the key
+    itself when it is maximal; None when no row covers the key."""
     rows = [row for row in table if key & row[0] == key]
     if not rows:
         return None
     zeros = 0
     for row in rows:
         zeros |= row[1]
-    return rows[0][2], zeros
+    maximal = [cls for cls, parent in bf_inclusion(row[0] for row in rows).items() if parent is None]
+    return rows[0][2], zeros, min(maximal, key=lambda m: (-bin(m).count("1"), m))
 
 
 def bf_key_support(key: int):

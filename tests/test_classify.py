@@ -263,9 +263,8 @@ def test_orbit_canonicalization():
 def test_orbits_match_bruteforce(n):
     # orbits read from sorted witness weights, against all n! relabellings
     records = maximal_feasible(n)
-    table = _vertex_table(n)
     for recs in (records, [rec for rec in records if rec.non_trivial]):
-        assert _orbits(recs, table) == list(bf_group_orbits([rec.support for rec in recs], n).values())
+        assert _orbits(recs) == list(bf_group_orbits([rec.support for rec in recs], n).values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -277,14 +276,9 @@ def test_nontrivial_catalog_matches_pairwise_oracle(n):
 
 
 def test_orbits_refuse_what_the_witness_rule_does_not_cover(records3):
-    table = _vertex_table(3)
     inner = next(rec for rec in records3 if rec.feasible and not rec.maximal)
-    with pytest.raises(InternalError, match="not a maximal class key"):
-        _orbits([inner], table)
-    # a class key carried by two rows no longer pins its polytope to a point
-    maximal = [rec for rec in records3 if rec.maximal]
-    with pytest.raises(InternalError, match="exactly one vertex"):
-        _orbits(maximal, table + table[:1])
+    with pytest.raises(InternalError, match="is not maximal"):
+        _orbits([inner])
 
 
 def test_witness_first_mode_matches_full_mode_maximal(records3):
@@ -299,11 +293,12 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     from exact1q import classify
     from exact1q.construct import level_set
 
-    calls = {"row": 0, "line": 0, "close": 0, "point": 0}
+    calls = {"row": 0, "rank": 0, "line": 0, "close": 0, "point": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            # the rank check's rows are n bits alone, the walk's carry b too
+            calls["rank" if name == "row" and len(args[1]) == args[2] else name] += 1
             out = fn(*args)
             if name == "close" and out is not None:
                 calls["point"] += 1
@@ -319,8 +314,9 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     # stabiliser: 899 row steps, 644 lines, 4,382 last rows of which 2,719
     # meet their line; walking the sign walls too at n=5 alone took 1,447,
     # 974, 8,200 and 4,638, and without the stabiliser 10,309, 7,960,
-    # 67,309 and 41,261
-    assert calls == {"row": 899, "line": 644, "close": 4382, "point": 2719}
+    # 67,309 and 41,261. The rank check of the 15 orbits' 1-classes takes
+    # 95 row steps more
+    assert calls == {"row": 899, "rank": 95, "line": 644, "close": 4382, "point": 2719}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -399,14 +395,23 @@ def test_vertex_witnesses_n5_pinned():
     assert digest == "903876a0fc85b64cff47a00d69338e25606b8ad9ea3fb62c63a08456c821b6b1"
 
 
-def test_vertex_witnesses_n6_pinned():
+def test_vertex_witnesses_n6_pinned(monkeypatch):
     # the n=6 vertex list; the digest was recorded from the walk without
-    # stabiliser pruning, so it checks the pruned walk by a second route
+    # stabiliser pruning, so it checks the pruned walk by a second route.
+    # The list is read as the vertex table is built, so the table's rank
+    # guard runs on the 63 orbits of n=6 too
     import hashlib
 
-    from exact1q.classify import _vertex_witnesses
+    from exact1q import classify
 
-    vertices = _vertex_witnesses(6)
+    walked = []
+    vertices = classify._vertex_witnesses
+    monkeypatch.setattr(
+        classify, "_vertex_witnesses", lambda n: walked.append(vertices(n)) or list(walked[-1])
+    )
+    table = classify._vertex_table(6)
+    assert (len(table), len({row[0] for row in table})) == (4361, 4361)
+    (vertices,) = walked
     assert len(vertices) == 4368
     digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
     assert digest == "72c66b7f68326d57bbe8065d06e3642341f8cfc09fc2c62179db4ffc8ab4611f"
@@ -515,7 +520,7 @@ def test_cover_map_matches_row_scan(n):
     # the subset walk over each row's class key reaches exactly the keys
     # some row covers, with the first covering row's weights and the OR of
     # every covering row's zero bits
-    from bruteforce import bf_cover
+    from bruteforce import bf_cover, bf_inclusion
 
     from exact1q.classify import _cover, _every_key, _subset_walk, _vertex_table
 
@@ -523,6 +528,10 @@ def test_cover_map_matches_row_scan(n):
     cover = _cover(_subset_walk(table))
     expected = {key: bf_cover(table, key) for key in _every_key(n)}
     assert cover == {key: hit for key, hit in expected.items() if hit is not None}
+    # the parent kept is the key itself iff it has no feasible strict
+    # superset, else its first maximal one among all feasible keys
+    parents = bf_inclusion(cover)
+    assert {key: hit[2] for key, hit in cover.items()} == {key: p or key for key, p in parents.items()}
 
 
 def test_cover_map_n4_is_the_feasible_keys(records4):
@@ -538,17 +547,46 @@ def test_cover_map_n4_is_the_feasible_keys(records4):
 
 
 def test_cover_map_n5_maximal_keys_match_row_scan():
-    # maximal_feasible reads the table alone: a maximal class key is
-    # covered only by the rows with exactly that class key
-    from bruteforce import bf_cover
+    # maximal_feasible reads the table alone: every class key is maximal
+    # and covered only by its own row
+    from bruteforce import bf_cover, bf_inclusion
 
-    from exact1q.classify import _cover, _inclusion, _vertex_table
+    from exact1q.classify import _cover, _vertex_table
 
     table = _vertex_table(5)
-    maximal = [key for key, parent in _inclusion(row[0] for row in table).items() if parent is None]
-    cover = _cover(table)
-    assert len(maximal) == 142
-    assert all(cover[key] == bf_cover(table, key) for key in maximal)
+    parents = bf_inclusion(row[0] for row in table)
+    assert len(parents) == 142
+    assert all(parent is None for parent in parents.values())
+    cover = _cover((row[0], *row) for row in table)
+    assert all(cover[key] == bf_cover(table, key) for key in parents)
+
+
+def test_records_depend_only_on_their_key(records4):
+    # records built for a few keys, in any order, are those of the full run
+    from exact1q.classify import _cover, _records, _subset_walk
+
+    keys = list(range(32767, 0, -997)) + [0b111, 0b1011000000]
+    cover = _cover(_subset_walk(_vertex_table(4)))
+    assert _records(4, keys, cover) == [records4[key - 1] for key in keys]
+
+
+def test_vertex_rank_guard_fires(monkeypatch):
+    # the vertex (1/2, 0) with its 1-class narrowed from {10, 11} to {10}
+    # still verifies, but rank 1 no longer pins its polytope to one point
+    from exact1q import classify
+    from exact1q.poly import InputClasses
+
+    exact = classify.input_classes
+
+    def narrowed(n, nums, den):
+        classes = exact(n, nums, den)
+        if (n, tuple(nums), den) == (2, (1, 0), 1):
+            return InputClasses(n, classes.zero, (0b10,), classes.star + (0b11,))
+        return classes
+
+    monkeypatch.setattr(classify, "input_classes", narrowed)
+    with pytest.raises(InternalError, match="has rank below 2"):
+        classify_all(2)
 
 
 def test_maximal_feasible_n4_vertex_cross_check(records4):

@@ -8,7 +8,7 @@ from exact1q.core import PartialBooleanFn, from_strings, sign_vector
 from exact1q.errors import ArityMismatchError, DegenerateSpanError
 from exact1q.feasibility import WeightVector, decide, decide_reduced
 from exact1q.reduction import ReducedFn
-from exact1q.simulate import apply_oracle, prepare, success_probabilities
+from exact1q.simulate import _orthonormal_basis, apply_oracle, prepare, success_probabilities
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -114,6 +114,19 @@ def test_dependent_zero_states_are_handled():
     f = from_strings(2, ones=["01", "10"], zeros=["00", "11"])
     report = success_probabilities(f, WeightVector((F(1, 2), F(1, 2))))
     assert report.min_success >= 1 - 1e-9
+
+
+def test_basis_pivots_past_a_near_duplicate_state():
+    # a2 is within 1e-11 of a, and c is independent of both. Taking the
+    # states in order, a2's residual after a is under RANK_TOL, so an
+    # unpivoted loop stops there and drops c; pivoting takes c first
+    a, a2, c = (1.0, 0.0, 0.0), (1.0, 1e-11, 0.0), (0.6, 0.0, 0.8)
+    basis = _orthonormal_basis([a, a2, c])
+    assert len(basis) == 2
+    for i, q in enumerate(basis):
+        assert [math.fsum(map(mul, q, r)) for r in basis] == close([float(i == j) for j in range(2)])
+    # c lies in the span: its projection keeps its whole norm
+    assert math.fsum(math.fsum(map(mul, q, c)) ** 2 for q in basis) == close(1.0)
 
 
 def test_report_serialization_digits():
