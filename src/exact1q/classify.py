@@ -1,36 +1,45 @@
 """Exhaustive classification of reduced functions at small arity.
 
 Every record is read from one table of the vertices of the weight
-arrangement: the level hyperplanes, the sign walls and the sum wall,
-inside the simplex z >= 0, sum(z) <= 1. A support is feasible iff it
-lies in the 1-class of some vertex, a bit is removable iff some such
-vertex weights it 0, and the witness is the first such vertex in
-reversed-z order. No LP is solved: each vertex is verified once, on its
-whole 1-class with its zero bits pinned. Feasibility, removable bits and
-witness come from one cover map, built by walking every nonempty subset
-of each row's class key in table order: the supports a row covers are
-exactly those subsets, so the walk reaches only feasible keys. So does
-maximality, with no sweep over pairs of keys: each key keeps the first
-class key that reaches it, more masks first, which is the key itself iff
-it is maximal and otherwise its first maximal strict superset. A record
-therefore depends only on its key and the table.
-Full-subset mode reads every nonempty support over the nonzero masks
-(gated to n <= 4; 32767 supports, 2195 of them feasible, reached in 2940
-subset steps over the 20 table rows at n=4). At n=5 only the maximal
-feasible supports are read, the 142 1-classes of the 148 vertices. Every
-row's 1-class has rank n, which the table checks once per orbit, so its
-polytope is the one vertex: each class key is maximal and covered by its
-own row alone, and neither the 2**31 supports nor the subsets of the
-rows are walked. The symmetric and level-confined flags are membership
-tests in two key sets built once per arity from the Hamming levels. The
-vertices are found in integers (fraction-free elimination, Cramer form,
-depth-first over shared row prefixes) by faces, arity by arity: a vertex
-on a sign wall is a vertex one bit down with a 0 inserted, so only the
-systems of level rows and the sum wall are walked (`_vertex_witnesses`).
-They are solved only for orbit representatives under bit relabelling and
-then closed under the n! relabellings.
-Orbits of maximal supports are read off their witnesses (`_orbits`), by
-the same rank fact; no support is ever relabelled.
+arrangement (the mask hyperplanes, the sign walls and the sum wall)
+inside the simplex z >= 0, sum(z) <= 1 whose 1-class is nonempty. A
+support is feasible iff it lies in the 1-class of some vertex, a bit is
+removable iff some such vertex weights it 0, and the witness is the
+first such vertex in reversed-z order. No LP is solved: each vertex is
+verified once, on its whole 1-class with its zero bits pinned.
+Feasibility, removable bits and witness come from one cover map, built
+by walking every nonempty subset of each row's class key in table order:
+the supports a row covers are exactly those subsets, so the walk reaches
+only feasible keys. So does maximality, with no sweep over pairs of
+keys: each key keeps the first class key that reaches it, more masks
+first, which is the key itself iff it is maximal and otherwise its first
+maximal strict superset. A record therefore depends only on its key and
+the table. Full-subset mode reads every nonempty support over the
+nonzero masks (gated to n <= 4; 32767 supports, 2195 of them feasible,
+reached in 2940 subset steps over the 20 table rows at n=4). At n=5 only
+the maximal feasible supports are read, the 142 1-classes of the 142
+vertices.
+
+Rank lemma. Let v be a vertex of the arrangement in the simplex whose
+1-class K is nonempty. The normal of every row tight at v lies in
+span(K): a tight mask row is in K; for a tight wall z_i = 0 and any m in
+K, m ^ e_i is in K too (nonzero, as v_i = 0 != 1/2) and the two rows
+differ by +-e_i; for the tight sum wall, the complement of m is in K
+(nonzero, as the all-ones mask sums to 1) and the two sum to the
+all-ones row. The tight normals span R^n, so K has rank n. Hence the
+table's vertices are exactly the points of the closed simplex cut out by
+n independent mask rows, and K's polytope {K's rows, z >= 0, sum(z) <=
+1} is the one point v: each class key is maximal and covered by its own
+row alone, and neither the 2**31 supports nor the subsets of the rows
+are walked at n=5. The table still checks the rank once per orbit. The
+symmetric and level-confined flags are membership tests in two key sets
+built once per arity from the Hamming levels. The vertices are found in
+integers (fraction-free elimination, Cramer form, depth-first over
+shared row prefixes) by one walk at arity n over the mask rows alone
+(`_vertex_witnesses`). They are solved only for orbit representatives
+under bit relabelling and then closed under the n! relabellings. Orbits
+of maximal supports are read off their witnesses (`_orbits`), by the
+same lemma; no support is ever relabelled.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -219,9 +228,9 @@ def _records(n: int, keys: Sequence[int], cover: Cover) -> list[ClassificationRe
     all three, or is missing for an infeasible key. This is exact: for a
     support S with bits F pinned to zero, the polytope {S's rows, z >= 0,
     sum(z) <= 1, z_F = 0} is bounded, so if it is nonempty it has a vertex
-    made of n independent tight rows of the arrangement, which the table
-    lists with a 1-class containing S and weight 0 on F. The level flags
-    are membership tests in the key sets `_symmetric_keys` and `_dj_keys`.
+    of the arrangement that weights F 0 and whose 1-class contains S, so is
+    nonempty: the table lists it. The level flags are membership tests in
+    the key sets `_symmetric_keys` and `_dj_keys`.
     Every mask tuple (support, removable bits, parent) is read from its key
     by `_key_support`, and each record is built positionally, one tuple
     allocation (32,767 at n=4).
@@ -298,18 +307,18 @@ def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
 # ---------------------------------------------------------------------------
 
 def _arrangement_orbits(n: int) -> list[list[tuple[int, ...]]]:
-    """Rows [a | b] of the level hyperplanes and the sum wall, a.w = b in
-    w = 2z (so every row is integral), grouped into orbits under bit
-    relabelling, largest first.
+    """Rows [a | 1] of the mask hyperplanes a.w = 1 in w = 2z (so every
+    row is integral), one orbit per Hamming level under bit relabelling,
+    largest first.
 
     A relabelling permutes the coordinates, so it maps the mask rows of
-    each Hamming weight onto each other and fixes the sum wall sum(w) = 2.
-    The sign walls w_i = 0 are not walked: `_vertex_witnesses` reaches the
-    vertices on them from the arity below.
+    each Hamming weight onto each other. The sign walls and the sum wall
+    are not walked: by the rank lemma (module docstring) every table vertex
+    is cut out by n independent mask rows.
     """
     levels = [[mask_bits(mask, n) + (1,) for mask in level_set(n, c)] for c in range(1, n + 1)]
-    # stable sort: ties keep level order, then the sum wall
-    return sorted(levels + [[(1,) * n + (2,)]], key=len, reverse=True)
+    # stable sort: ties keep level order
+    return sorted(levels, key=len, reverse=True)
 
 
 def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
@@ -335,13 +344,15 @@ def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, 
 
 
 def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
-    """The points with every z_i > 0 and sum(z) <= 1 cut out by n
-    independent rows of `_arrangement_orbits`, in lowest-terms Cramer form
-    (nums, det), for orbit representatives: orbit j contributes the systems
-    made of its first row plus n - 1 rows from orbits j and later. Every
-    system has a relabelling that moves one of its rows from its lowest
-    orbit onto that orbit's first row, so every such point is a relabelling
-    of one found.
+    """The points of the closed simplex z >= 0, sum(z) <= 1 cut out by n
+    independent mask rows (`_arrangement_orbits`), in lowest-terms Cramer
+    form (nums, det), for orbit representatives: orbit j contributes the
+    systems made of its first row plus n - 1 rows from orbits j and later.
+    Every system has a relabelling that moves one of its rows from its
+    lowest orbit onto that orbit's first row, so every such point is a
+    relabelling of one found. By the rank lemma (module docstring) these
+    points are the vertices of the whole arrangement, walls included, that
+    have a nonempty 1-class.
 
     The systems are walked depth-first, rows in order, so each prefix is
     eliminated once for all its completions (`extend_echelon`) and a
@@ -364,7 +375,7 @@ def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
                 point = close_line(line, row)
                 if point is not None:
                     nums, det = point
-                    if min(nums) > 0 and sum(nums) <= 2 * det:
+                    if min(nums) >= 0 and sum(nums) <= 2 * det:
                         found.add(point)
             return
         # rows[start:stop] leave enough rows after them to finish a system
@@ -387,30 +398,20 @@ def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
 
 
 def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Vertices of the arrangement cut out by the level hyperplanes, the
-    sign walls and the sum wall that lie in the simplex z >= 0, sum(z) <= 1,
-    in Cramer form (nums, det), reduced by the gcd: z = nums / (2 * det).
+    """The vertices of the arrangement (mask rows, sign walls, sum wall)
+    in the simplex z >= 0, sum(z) <= 1 whose 1-class is nonempty, in
+    Cramer form (nums, det), reduced by the gcd: z = nums / (2 * det).
 
-    Found by faces, arity by arity. A vertex with z_i = 0 lies on the wall
-    w_i = 0, and on that face the arrangement is the (n - 1)-bit one: a
-    mask loses bit i, the singleton {i} becomes 0 = 1 and drops out, and
-    the other walls and the sum wall stay walls. So the vertex is an
-    (n - 1)-bit vertex with a 0 inserted at i, and every such insertion is
-    a vertex. A vertex with every z_i > 0 is on no wall, so it is cut out
-    by level rows and the sum wall alone (`_level_vertices`). Starting from
-    the origin at arity 0, arity k keeps one representative per orbit under
-    relabelling, its sorted nums: those of `_level_vertices(k)` and those
-    of arity k - 1 with a 0 prepended. The representatives of arity n are
-    then closed under the n! relabellings. Summed over arities 1..5 that is
-    899 row steps, 644 solution lines and 4,382 closed systems (2,719 of
-    them nonsingular) for the 148 vertices at n=5, against 1,447, 974,
-    8,200 and 4,638 when the walls are walked too; at n=6, 29,572 row
-    steps and 257,812 closes for 4,368, against 44,650 and 417,066.
+    By the rank lemma (module docstring) these are exactly the points of
+    the closed simplex cut out by n independent mask rows, so one walk at
+    arity n over the mask rows finds them all (`_level_vertices`). Its
+    sorted nums are one representative per orbit under relabelling, closed
+    here under the n! relabellings. At n=5 that is 711 row steps, 512
+    solution lines and 3,580 closed systems (2,318 of them nonsingular)
+    for the 142 vertices; at n=6, 26,139 row steps and 231,835 closes for
+    4,361.
     """
-    reps = {((), 1)}
-    for k in range(1, n + 1):
-        found = _level_vertices(k) | {((0,) + nums, det) for nums, det in reps}
-        reps = {(tuple(sorted(nums)), det) for nums, det in found}
+    reps = {(tuple(sorted(nums)), det) for nums, det in _level_vertices(n)}
     return sorted(
         {
             (tuple([nums[p] for p in perm]), det)
@@ -422,7 +423,7 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
     """One row (class key, zero-bit key, weights) per arrangement vertex
-    (`_vertex_witnesses`) with a nonempty 1-class, sorted by reversed
+    with a nonempty 1-class (`_vertex_witnesses`), sorted by reversed
     weights. Bit i is bit i - 1 of the zero-bit key.
 
     The 1-class of z = nums / (2 * det) is that of the polynomial
@@ -430,17 +431,18 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
     whole 1-class with its zero bits pinned, in ints as (nums, 2 * det)
     (`verify_weights`), so its weights are a witness for every support it
     covers. Rows are sorted on exact integer keys: over the lcm L of all
-    dets, z_i is nums_i * (L // det) / (2 * L). The 25 vertices at n=4
-    give 20 rows, the 148 at n=5 give 142.
+    dets, z_i is nums_i * (L // det) / (2 * L). That is 20 rows at n=4
+    and 142 at n=5.
 
-    Each row's 1-class K must have mask rows of rank n, or InternalError is
-    raised. Then K . z = 1/2 has the one solution z, so K's polytope {K's
-    rows, z >= 0, sum(z) <= 1} is the single point z: a feasible S that
-    contains K has its polytope inside it, so S = K. K is maximal and the
-    class key of this row alone. A relabelling keeps the rank, so it is
-    checked once per orbit (sorted nums), one `extend_echelon` step per
-    mask until rank n (95 steps for the 15 orbits at n=5, 507 for the 63
-    at n=6).
+    Each row's 1-class K has mask rows of rank n by the rank lemma (module
+    docstring); the table checks it as a safety net and raises
+    InternalError otherwise. Then K . z = 1/2 has the one solution z, so
+    K's polytope {K's rows, z >= 0, sum(z) <= 1} is the single point z: a
+    feasible S that contains K has its polytope inside it, so S = K. K is
+    maximal and the class key of this row alone. A relabelling keeps the
+    rank, so it is checked once per orbit (sorted nums), one
+    `extend_echelon` step per mask until rank n (95 steps for the 15
+    orbits at n=5, 507 for the 63 at n=6).
     """
     vertices = _vertex_witnesses(n)
     scale = math.lcm(*(det for _, det in vertices))
@@ -448,28 +450,27 @@ def _vertex_table(n: int) -> list[tuple[int, int, WeightVector]]:
     table, ranked = [], set()
     for nums, det in vertices:
         support = input_classes(n, nums, det).one
-        if support:
-            zero_bits = [i for i, v in enumerate(nums, 1) if v == 0]
-            z = WeightVector(tuple([Fraction(v, 2 * det) for v in nums]))
-            if not verify_weights(n, support, nums, 2 * det, zero_bits):
+        zero_bits = [i for i, v in enumerate(nums, 1) if v == 0]
+        z = WeightVector(tuple([Fraction(v, 2 * det) for v in nums]))
+        if not verify_weights(n, support, nums, 2 * det, zero_bits):
+            raise InternalError(
+                f"vertex z = ({', '.join(map(str, z.z))}) does not verify on "
+                f"its 1-class {_mask_labels(n, support)}"
+            )
+        if (orbit := (tuple(sorted(nums)), det)) not in ranked:
+            # the bit rows of the 1-class, one row step each until rank n
+            prefix = ()
+            for mask in support:
+                prefix = extend_echelon(prefix, mask_bits(mask, n), n) or prefix
+                if len(prefix) == n:
+                    break
+            else:
                 raise InternalError(
-                    f"vertex z = ({', '.join(map(str, z.z))}) does not verify on "
-                    f"its 1-class {_mask_labels(n, support)}"
+                    f"the 1-class {_mask_labels(n, support)} of vertex "
+                    f"z = ({', '.join(map(str, z.z))}) has rank below {n}"
                 )
-            if (orbit := (tuple(sorted(nums)), det)) not in ranked:
-                # the bit rows of the 1-class, one row step each until rank n
-                prefix = ()
-                for mask in support:
-                    prefix = extend_echelon(prefix, mask_bits(mask, n), n) or prefix
-                    if len(prefix) == n:
-                        break
-                else:
-                    raise InternalError(
-                        f"the 1-class {_mask_labels(n, support)} of vertex "
-                        f"z = ({', '.join(map(str, z.z))}) has rank below {n}"
-                    )
-                ranked.add(orbit)
-            table.append((_support_key(support), _support_key(zero_bits), z))
+            ranked.add(orbit)
+        table.append((_support_key(support), _support_key(zero_bits), z))
     return table
 
 
@@ -478,9 +479,9 @@ def _orbits(records: Iterable[ClassificationRecord]) -> list[list[tuple[int, ...
     relabelling: each orbit ascending, orbits ordered by smallest member.
 
     A maximal support S is the class key of exactly one table row, whose
-    1-class has rank n (`_vertex_table`), so S's polytope {S's rows,
-    z >= 0, sum(z) <= 1} is the single point v_S, and v_{pi S} = pi v_S
-    for every relabelling pi. So two maximal supports share an orbit iff
+    1-class has rank n by the rank lemma (module docstring), so S's
+    polytope {S's rows, z >= 0, sum(z) <= 1} is the single point v_S, and
+    v_{pi S} = pi v_S for every relabelling pi. So two maximal supports share an orbit iff
     their witnesses have equal sorted weights. Raises InternalError for a
     record that is not maximal.
 

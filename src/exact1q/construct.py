@@ -107,12 +107,15 @@ def level_solutions(prof: GroupedWeightProfile) -> tuple[LevelSolution, ...]:
 def construct(prof: GroupedWeightProfile) -> PartialBooleanFn:
     """The promise function this profile's algorithm decides: 0 only on the
     all-zeros input, 1 on every mask whose group weights solve the level
-    equation, undefined elsewhere."""
+    equation, undefined elsewhere. A support past the listing cap
+    (`core.check_listing`) is refused before any mask is listed."""
     solutions = level_solutions(prof)
     if not solutions:
         raise EmptySupportError("profile admits no level solutions; nothing to compute")
     n = prof.n
     widths = prof.widths
+    count = sum(math.prod(map(math.comb, widths, sol)) for sol in solutions)
+    check_listing(n, count, "the profile's support")
     ones: set[int] = set()
     for sol in solutions:
         per_group = []

@@ -39,16 +39,25 @@ def check_arity(n: int) -> int:
     return n
 
 
-#: Listings of masks (`poly.function_of`, `construct.dj_family`) stop at
-#: this arity, about a million masks, rather than at `MAX_ARITY`.
+#: Listings of masks (`poly.function_of`, `construct.dj_family`,
+#: `construct.construct`) stop at this arity, about a million masks, rather
+#: than at `MAX_ARITY`; past it only listings of fewer than
+#: 2**(LISTING_MAX_ARITY - 1) masks are made.
 LISTING_MAX_ARITY = 20
 
 
 def check_listing(n: int, masks: int, what: str) -> None:
-    """Refuse a listing of `masks` masks at an arity past the cap, naming the count."""
-    if n > LISTING_MAX_ARITY:
+    """Refuse a listing of `masks` masks at an arity past the cap, unless it
+    has fewer than 2**(LISTING_MAX_ARITY - 1) masks, naming the count. The
+    listings of `function_of` and `dj_family` past the cap have at least
+    2**LISTING_MAX_ARITY masks, so only their arity decides; a `construct`
+    support past it can be as small as 2 masks or as large as 705,432 at
+    22 variables."""
+    most = (1 << (LISTING_MAX_ARITY - 1)) - 1
+    if n > LISTING_MAX_ARITY and masks > most:
         raise ArityTooLargeError(
-            f"{what} of {n} variables means listing {masks:,} masks; the cap is {LISTING_MAX_ARITY} variables"
+            f"{what} of {n} variables means listing {masks:,} masks; the cap is "
+            f"{LISTING_MAX_ARITY} variables or {most:,} masks"
         )
 
 
@@ -82,6 +91,18 @@ def _sorted_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks)))
 
 
+def _checked_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """Masks given from outside, ascending without repeats, or SchemaError
+    naming one that is not an int. A bool is not a mask, as it is not an
+    arity (`check_arity`), and a float or a string would fail later as a
+    raw TypeError."""
+    masks = tuple(masks)
+    bad = [m for m in masks if not isinstance(m, int) or isinstance(m, bool)]
+    if bad:
+        raise SchemaError(f"masks must be integers, got {bad[0]!r}")
+    return _sorted_masks(masks)
+
+
 @dataclass(frozen=True)
 class PartialBooleanFn:
     """A promise function: value 1 on `ones`, 0 on `zeros`, undefined elsewhere.
@@ -95,8 +116,8 @@ class PartialBooleanFn:
 
     def __init__(self, n: int, ones: Iterable[int] = (), zeros: Iterable[int] = ()):
         check_arity(n)
-        ones_t = _sorted_masks(ones)
-        zeros_t = _sorted_masks(zeros)
+        ones_t = _checked_masks(ones)
+        zeros_t = _checked_masks(zeros)
         limit = 1 << n
         for m in ones_t + zeros_t:
             if not 0 <= m < limit:

@@ -59,6 +59,10 @@ class WeightVector:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # a bool is not a weight, and a float is not exact
+        bad = [v for v in self.z if not isinstance(v, (int, Fraction)) or isinstance(v, bool)]
+        if bad:
+            raise SchemaError(f"weights must be integers or Fractions, got {bad[0]!r}")
         nums, scale = _scaled(self.z)
         if any(v < 0 for v in nums):
             raise SchemaError("weight vector entries must be non-negative")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import AssignmentMask, PartialBooleanFn, check_arity, diff_set, _sorted_masks
+from .core import AssignmentMask, PartialBooleanFn, check_arity, diff_set, _checked_masks
 from .errors import EmptySubsetError, NotASubsetError, SchemaError
 
 
@@ -24,7 +24,7 @@ class ReducedFn:
 
     def __init__(self, n: int, support: Iterable[int]):
         check_arity(n)
-        support_t = _sorted_masks(support)
+        support_t = _checked_masks(support)
         if not support_t:
             raise SchemaError("reduced function needs a nonempty support")
         if support_t[0] == 0:
@@ -53,7 +53,7 @@ def reduce_subset(f: PartialBooleanFn, subset: Iterable[AssignmentMask]) -> Redu
     Validation is strict: masks outside the difference set are an error,
     never silently dropped.
     """
-    subset_t = _sorted_masks(subset)
+    subset_t = _checked_masks(subset)
     if not subset_t:
         raise EmptySubsetError("subset reduction needs at least one mask")
     full = set(diff_set(f))

@@ -309,14 +309,12 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
     for name, attr in (("row", "extend_echelon"), ("line", "solution_line"), ("close", "close_line")):
         monkeypatch.setattr(classify, attr, counted(name, getattr(classify, attr)))
     recs = maximal_feasible(5)
-    # level rows and the sum wall only, arities 1..5, orbit representatives
-    # only, depth-first, each prefix lex-smallest under its orbit's
-    # stabiliser: 899 row steps, 644 lines, 4,382 last rows of which 2,719
-    # meet their line; walking the sign walls too at n=5 alone took 1,447,
-    # 974, 8,200 and 4,638, and without the stabiliser 10,309, 7,960,
-    # 67,309 and 41,261. The rank check of the 15 orbits' 1-classes takes
-    # 95 row steps more
-    assert calls == {"row": 899, "rank": 95, "line": 644, "close": 4382, "point": 2719}
+    # mask rows only, at arity 5 alone, orbit representatives only,
+    # depth-first, each prefix lex-smallest under its orbit's stabiliser:
+    # 711 row steps, 512 lines, 3,580 last rows of which 2,318 meet their
+    # line. The rank check of the 15 orbits' 1-classes takes 95 row steps
+    # more
+    assert calls == {"row": 711, "rank": 95, "line": 512, "close": 3580, "point": 2318}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -330,36 +328,43 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_vertex_witnesses_match_bruteforce(n):
     # the orbit-representative solve, closed under relabelling, finds every
-    # vertex the oracle finds by solving all C(2**n + n, n) systems
+    # vertex with a nonempty 1-class that the oracle finds by solving all
+    # C(2**n + n, n) systems of mask rows, walls and the sum wall
     from fractions import Fraction
 
-    from bruteforce import bf_vertices
+    from bruteforce import HALF, bf_input_classes, bf_vertices
 
     from exact1q.classify import _vertex_witnesses
 
     got = {tuple(Fraction(v, 2 * det) for v in nums) for nums, det in _vertex_witnesses(n)}
-    assert got == bf_vertices(n)
+    assert got == {v for v in bf_vertices(n) if bf_input_classes(n, v, HALF)[1]}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_vertices_on_a_wall_are_the_vertices_one_bit_down(n):
-    # the face argument of `_vertex_witnesses`, on the oracle: dropping a
-    # zero coordinate of any n-bit vertex gives exactly the (n-1)-bit
-    # vertex set, and the vertices off every wall need no wall row
+def test_rank_lemma_on_the_oracle(n):
+    # the rank lemma of `classify`, on the oracle: the 1-class of every
+    # vertex with a nonempty one pins that vertex alone, so the walk over
+    # mask rows, closed under relabelling, finds exactly those vertices
+    import itertools
     from fractions import Fraction
 
-    from bruteforce import bf_vertices
+    from bruteforce import HALF, bf_input_classes, bf_unique_solution, bf_vertices
 
     from exact1q.classify import _level_vertices
 
-    vertices = bf_vertices(n)
-    below = bf_vertices(n - 1)
-    for i in range(n):
-        assert {v[:i] + v[i + 1:] for v in vertices if v[i] == 0} == below
-    interior = {v for v in vertices if min(v) > 0}
-    found = {tuple(Fraction(x, 2 * det) for x in nums) for nums, det in _level_vertices(n)}
-    assert found <= interior
-    assert {tuple(sorted(v)) for v in found} == {tuple(sorted(v)) for v in interior}
+    classed = set()
+    for v in bf_vertices(n):
+        one = bf_input_classes(n, v, HALF)[1]
+        if one:
+            unique = bf_unique_solution(n, one)
+            assert unique is not None and tuple(unique) == v
+            classed.add(v)
+    found = {
+        tuple(Fraction(nums[p], 2 * det) for p in perm)
+        for nums, det in _level_vertices(n)
+        for perm in itertools.permutations(range(n))
+    }
+    assert found == classed
 
 
 def test_vertex_table_rows_verify_and_sort_by_reversed_weights():
@@ -384,20 +389,24 @@ def test_vertex_table_rows_verify_and_sort_by_reversed_weights():
 
 
 def test_vertex_witnesses_n5_pinned():
-    # the n=5 vertex list, Cramer forms in lowest terms, in sorted order
+    # the n=5 vertex list, Cramer forms in lowest terms, in sorted order;
+    # the digest is that of the walk over walls and arities 1..5 with the
+    # vertices of empty 1-class left out
     import hashlib
 
     from exact1q.classify import _vertex_witnesses
 
     vertices = _vertex_witnesses(5)
-    assert len(vertices) == 148
+    assert len(vertices) == 142
     digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
-    assert digest == "903876a0fc85b64cff47a00d69338e25606b8ad9ea3fb62c63a08456c821b6b1"
+    assert digest == "1dbe31415c667e635559a45bf1a6c17361084e9ee315011825924773a3a47403"
 
 
 def test_vertex_witnesses_n6_pinned(monkeypatch):
     # the n=6 vertex list; the digest was recorded from the walk without
-    # stabiliser pruning, so it checks the pruned walk by a second route.
+    # stabiliser pruning (over walls and arities 1..6, the vertices of
+    # empty 1-class left out), so it checks the pruned walk by a second
+    # route.
     # The list is read as the vertex table is built, so the table's rank
     # guard runs on the 63 orbits of n=6 too
     import hashlib
@@ -412,9 +421,9 @@ def test_vertex_witnesses_n6_pinned(monkeypatch):
     table = classify._vertex_table(6)
     assert (len(table), len({row[0] for row in table})) == (4361, 4361)
     (vertices,) = walked
-    assert len(vertices) == 4368
+    assert len(vertices) == 4361
     digest = hashlib.sha256(repr(vertices).encode()).hexdigest()
-    assert digest == "72c66b7f68326d57bbe8065d06e3642341f8cfc09fc2c62179db4ffc8ab4611f"
+    assert digest == "df1792c1d3c8b79f49c37f3caffbdb4709c3f117b031e6ac59edcb8ae098584a"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -72,6 +72,8 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["polyfn", "--coeffs", ",".join(["1/21"] * 21)], None),
         # every mask of weight >= 11 of 21 bits: 1,048,576 masks to list
         (["dj", "--n", "21"], None),
+        # every mask of weight 11 of 22 bits: 705,432 masks to list
+        (["construct", "--k", "0,22", "--a", "1/22"], None),
         (["construct", "--k", "0,2", "--a", "1/0"], None),
         (["construct", "--k", "a", "--a", "1/2"], None),
         (["decide", "{file}"], b"\xff\xfe{}"),
@@ -80,8 +82,9 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["decide", "{file}"], b'{"n": true, "ones": ["1"], "zeros": ["0"]}'),
         (["decide", "{file}"], b'{"n": ' + b"9" * 5000 + b', "ones": [], "zeros": []}'),
     ],
-    ids=["zero-denominator-coeffs", "polyfn-past-mask-cap", "dj-past-mask-cap", "zero-denominator-a", "non-integer-k",
-         "non-utf8-file", "negative-arity", "zero-arity", "bool-arity", "int-past-digit-limit"],
+    ids=["zero-denominator-coeffs", "polyfn-past-mask-cap", "dj-past-mask-cap", "construct-past-mask-cap",
+         "zero-denominator-a", "non-integer-k", "non-utf8-file", "negative-arity", "zero-arity", "bool-arity",
+         "int-past-digit-limit"],
 )
 def test_bad_user_input_is_exit_2(capsys, tmp_path, argv, content):
     # one diagnostic line, no traceback, and nothing on stdout
@@ -127,6 +130,15 @@ def test_construct_and_dj(capsys):
     assert code == 0
     family = json.loads(out)
     assert [len(fn["ones"]) for fn in family] == [6, 4, 1]
+
+
+def test_construct_small_listing_past_the_arity_cap(capsys):
+    # 22 variables, but only 2 masks to list: bit 1 alone, or the others
+    code, out, _ = run(capsys, "construct", "--k", "0,1,22", "--a", "1/2,1/42")
+    assert code == 0
+    data = json.loads(out)
+    assert data["function"]["ones"] == ["0" + "1" * 21, "1" + "0" * 21]
+    assert data["level_solutions"] == [[0, 21], [1, 0]]
 
 
 def test_construct_bad_profile_is_exit_2(capsys):

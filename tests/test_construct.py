@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction as F
 
@@ -137,6 +138,38 @@ def test_dj_family_refuses_past_the_listing_cap():
         dj_family(21)
     with pytest.raises(ArityTooLargeError, match="exceeds the cap of 24"):
         dj_family(25)
+
+
+def test_construct_refuses_past_the_listing_cap(monkeypatch):
+    # the middle level of 22 bits, counted from the level solutions and
+    # refused before any mask is listed
+    def no_listing(*args):
+        raise AssertionError("listed masks past the cap")
+
+    monkeypatch.setattr(itertools, "product", no_listing)
+    with pytest.raises(ArityTooLargeError, match="listing 705,432 masks; the cap is 20 variables or 524,287 masks"):
+        construct(profile((0, 22), (F(1, 22),)))
+    with pytest.raises(ArityTooLargeError, match="listing 705,432 masks"):
+        # the same masks from two groups of 11 bits
+        construct(profile((0, 11, 22), (F(1, 22), F(1, 22))))
+    monkeypatch.undo()
+    # past the arity cap, a small listing still answers: bit 1 alone, or
+    # every bit but bit 1
+    fn = construct(profile((0, 1, 22), (F(1, 2), F(1, 42))))
+    assert (fn.n, fn.ones, fn.zeros) == (22, ((1 << 21) - 1, 1 << 21), (0,))
+
+
+@pytest.mark.parametrize(
+    "boundaries, values",
+    [((0, 2, 6), (F(1, 6), F(1, 12))), ((0, 3, 7), (F(1, 8), F(1, 16))), ((0, 10), (F(1, 10),))],
+)
+def test_construct_counts_its_listing_exactly(monkeypatch, boundaries, values):
+    # the count checked against the cap is the size of the support listed
+    module = importlib.import_module("exact1q.construct")
+    counts = []
+    monkeypatch.setattr(module, "check_listing", lambda n, masks, what: counts.append(masks))
+    fn = construct(profile(boundaries, values))
+    assert counts == [len(fn.ones)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -155,6 +155,13 @@ def test_constructor_validation():
         string_to_mask("1a0", 3)
 
 
+@pytest.mark.parametrize("ones, zeros", [([0.5], [0]), (["1"], [0]), ([1], [False]), ([1, 1.0], [0])])
+def test_constructor_rejects_non_int_masks(ones, zeros):
+    # a mask is an int and not a bool, checked before any sort or range test
+    with pytest.raises(SchemaError, match="masks must be integers"):
+        PartialBooleanFn(2, ones=ones, zeros=zeros)
+
+
 def test_non_constant_flag():
     assert from_strings(2, ones=["01"], zeros=["00"]).non_constant()
     assert not PartialBooleanFn(2, ones=[1, 2]).non_constant()

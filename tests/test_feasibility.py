@@ -255,6 +255,13 @@ def test_verify_result_rejects_fixed_bits_outside_1_to_n(bit):
         verify_result(inst, res, fixed=[bit])
 
 
+@pytest.mark.parametrize("z", [(0.5, 0.25), (F(1, 2), True), ("1/2",)])
+def test_weight_vector_rejects_non_exact_weights(z):
+    # weights are ints or Fractions, never a bool, a float or a string
+    with pytest.raises(SchemaError, match="weights must be integers or Fractions"):
+        WeightVector(z)
+
+
 def test_verify_result_rejects_corrupted_answers():
     inst = g(3, "110", "101", "011")
     res = decide_reduced(inst)

@@ -62,6 +62,12 @@ def test_reduced_fn_validation():
         ReducedFn(2, [4])
 
 
+@pytest.mark.parametrize("support", [[1.0], ["01"], [True], [2, 1.0]])
+def test_reduced_fn_rejects_non_int_masks(support):
+    with pytest.raises(SchemaError, match="masks must be integers"):
+        ReducedFn(2, support)
+
+
 def test_reduce_commutes_with_permutation():
     f = from_strings(3, ones=["110", "011"], zeros=["000", "111"])
     perm = (2, 3, 1)
