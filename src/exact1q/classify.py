@@ -18,7 +18,12 @@ the table. Full-subset mode reads every nonempty support over the
 nonzero masks (gated to n <= 4; 32767 supports, 2195 of them feasible,
 reached in 2940 subset steps over the 20 table rows at n=4). At n=5 only
 the maximal feasible supports are read, the 142 1-classes of the 142
-vertices.
+vertices. `classify` is the one switch between the two modes: it gives
+the keys of arity n and their cover map. Records serve the API
+(`enumerate_reduced`, `classify_all`, `maximal_feasible`); the CLI's
+`enumerate` writes its rows from the cover map directly, with one
+formatted tail per distinct cover entry (`cli._enumerate_rows`), and
+builds a record only for the first key of each.
 
 Rank lemma. Let v be a vertex of the arrangement in the simplex whose
 1-class K is nonempty. The normal of every row tight at v lies in
@@ -149,6 +154,25 @@ def _key_support(key: int) -> tuple[int, ...]:
     return support
 
 
+class _PartLabels(dict):
+    """Part p of a support key -> the labels of the masks of p << shift,
+    each after a ";", read by `_key_support` from `names` (`_mask_strings`).
+    Each part's labels are built on first use, so nothing is built at
+    import and a table holds only the parts read. With tables low and high
+    at shifts 0 and 8, a key's label is (low[key & 255] + high[key >>
+    8])[1:]: two lookups in per-byte tables up to n = 4 (keys of 15 bits),
+    and at n = 5 the high table holds one entry per distinct high part."""
+
+    def __init__(self, names: Sequence[str], shift: int):
+        super().__init__()
+        self.names, self.shift = names, shift
+
+    def __missing__(self, part: int) -> str:
+        names = self.names
+        self[part] = label = "".join([";" + names[m] for m in _key_support(part << self.shift)])
+        return label
+
+
 @lru_cache(maxsize=None)
 def _level_keys(n: int) -> tuple[int, ...]:
     """Support key of each Hamming level: entry c - 1 holds every mask of
@@ -260,6 +284,31 @@ def _every_key(n: int) -> range:
     return range(1, 1 << ((1 << n) - 1))
 
 
+def classify(n: int) -> tuple[Sequence[int], Cover]:
+    """The support keys classified at arity n, in support-key order, and
+    the cover map of the vertex table (`_cover`) that answers them: the
+    one switch between the two modes and the arity gate of both.
+
+    Full mode (n <= 4) reads every nonempty support, from the cover map of
+    the subset walk. Witness-first mode (n = 5) reads only the maximal
+    feasible supports: every row's 1-class has rank n (`_vertex_table`), so
+    each class key is maximal and covered by its own row alone, and every
+    maximal key is some row's class key; the cover map is read off the
+    table itself, with no subset walk.
+    """
+    if check_arity(n) > VERTEX_MODE_MAX:
+        raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
+    table = _vertex_table(n)
+    if n <= FULL_MODE_MAX:
+        return _every_key(n), _cover(_subset_walk(table))
+    return sorted(row[0] for row in table), _cover((row[0], *row) for row in table)
+
+
+def _maximal_keys(cover: Cover) -> list[int]:
+    """The keys of a cover map that are their own class key, ascending."""
+    return sorted(key for key, hit in cover.items() if hit[2] == key)
+
+
 def classify_all(n: int) -> list[ClassificationRecord]:
     """All 2**(2**n - 1) - 1 records at arity n (full mode, n <= 4), in
     support-key order."""
@@ -268,7 +317,7 @@ def classify_all(n: int) -> list[ClassificationRecord]:
             f"full-subset classification is gated to n <= {FULL_MODE_MAX}; "
             f"n = 5 offers witness-first maximal_feasible only"
         )
-    return _records(n, _every_key(n), _cover(_subset_walk(_vertex_table(n))))
+    return _records(n, *classify(n))
 
 
 def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
@@ -277,19 +326,15 @@ def enumerate_reduced(n: int) -> Iterator[ClassificationRecord]:
     n <= 4 streams every support; n = 5 streams only the maximal feasible
     supports (witness-first mode).
     """
-    yield from classify_all(n) if check_arity(n) <= FULL_MODE_MAX else maximal_feasible(n)
+    yield from _records(n, *classify(n))
 
 
 def maximal_feasible(n: int) -> list[ClassificationRecord]:
     """Feasible supports with no feasible strict superset, in support-key
-    order: the records of the vertex table's rows. Every row's 1-class has
-    rank n (`_vertex_table`), so each class key is maximal and is covered
-    by its own row alone, and every maximal key is some row's class key:
-    the cover map is read off the table itself, with no subset walk."""
-    if check_arity(n) > VERTEX_MODE_MAX:
-        raise ArityTooLargeError(f"classification is supported for n <= {VERTEX_MODE_MAX}")
-    table = _vertex_table(n)
-    return _records(n, sorted(row[0] for row in table), _cover((row[0], *row) for row in table))
+    order: the keys of the cover map (`classify`) that are their own class
+    key."""
+    cover = classify(n)[1]
+    return _records(n, _maximal_keys(cover), cover)
 
 
 def nontrivial_catalog(n: int) -> list[ClassificationRecord]:
@@ -585,7 +630,7 @@ def reproduce_tables(n: int) -> TableReport:
     cover = _cover(_subset_walk(table))
     # a record depends only on its key, so only the maximal ones and the
     # catalog's own supports are built
-    maximal = _records(n, sorted(key for key, hit in cover.items() if hit[2] == key), cover)
+    maximal = _records(n, _maximal_keys(cover), cover)
     maximal_by_support = {r.support: r for r in maximal}
 
     checks: list[RowCheck] = []

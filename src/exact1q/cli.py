@@ -11,8 +11,17 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, Iterator
 
-from .classify import _mask_strings, enumerate_reduced, reproduce_tables
+from .classify import (
+    _dj_keys,
+    _mask_strings,
+    _PartLabels,
+    _records,
+    _symmetric_keys,
+    classify,
+    reproduce_tables,
+)
 from .construct import construct, dj_family, level_solutions, profile
 from .errors import Exact1qError, InternalError, SchemaError
 from .feasibility import decide
@@ -122,15 +131,61 @@ def _record_row(rec, names: tuple[str, ...]) -> list[str]:
     ]
 
 
+def _enumerate_rows(n: int, shape: Callable[[list[str]], object]) -> Iterator[tuple[str, object]]:
+    """(support label, shape(the other eight cells)) of each row of
+    `enumerate --n n`, in support-key order, written from the cover map
+    (`classify.classify`) with no record per key.
+
+    The eight cells depend only on the key's cover entry (witness row,
+    zero-bit key, class key), on whether the key is that class key, and on
+    its two level flags. They are formatted and shaped once per distinct
+    tuple of these: the first key that has it gets its record from
+    `_records` and its whole row from `_record_row`, so every flag keeps
+    its one definition (122 distinct tails over the 32,767 rows at n=4,
+    none repeated at n=5). Every later key gets only its label, two
+    lookups in lazily built part tables (`_PartLabels`). The cache is keyed
+    on ints and bools: a row's weights are one object per table row, so
+    their id names the row and no Fraction is hashed."""
+    keys, cover = classify(n)
+    names = _mask_strings(n)
+    symmetric, dj_computable = _symmetric_keys(n), _dj_keys(n)
+    low, high = _PartLabels(names, 0), _PartLabels(names, 8)
+    tails = {}
+    for key in keys:
+        hit = cover.get(key)
+        if hit is None:
+            entry = key in symmetric, key in dj_computable
+        else:
+            entry = key in symmetric, key in dj_computable, id(hit[0]), hit[1], hit[2], hit[2] == key
+        tail = tails.get(entry)
+        if tail is not None:
+            yield (low[key & 255] + high[key >> 8])[1:], tail
+        else:
+            cells = _record_row(_records(n, [key], cover)[0], names)
+            tails[entry] = tail = shape(cells[1:])
+            yield cells[0], tail
+
+
+def _json_tail(cells: list[str]) -> str:
+    """What `json.dumps(rows, indent=2)` writes after a row's support cell."""
+    items = [f',\n    "{column}": {json.dumps(cell)}' for column, cell in zip(_CSV_COLUMNS[1:], cells)]
+    return "".join(items) + "\n  }"
+
+
 def _cmd_enumerate(args) -> None:
-    # the records come first: they check the arity before any label is built
-    records, names = list(enumerate_reduced(args.n)), _mask_strings(args.n)
+    """Rows are written from the cover map (`_enumerate_rows`), with one
+    formatted tail per distinct cover entry, in CSV or as the text
+    `json.dumps(rows, indent=2)` writes for the rows as dicts; a label is
+    bitstrings and ";", which JSON writes as they are. Records serve the
+    API (`enumerate_reduced`)."""
     if args.format == "csv":
-        lines = [",".join(_CSV_COLUMNS)] + [",".join(_record_row(rec, names)) for rec in records]
+        rows = _enumerate_rows(args.n, lambda cells: "," + ",".join(cells))
+        lines = [",".join(_CSV_COLUMNS)] + [label + tail for label, tail in rows]
         _write("\n".join(lines) + "\n", args.out)
     else:
-        payload = [dict(zip(_CSV_COLUMNS, _record_row(rec, names))) for rec in records]
-        _emit(payload, args.out)
+        rows = _enumerate_rows(args.n, _json_tail)
+        items = [f'  {{\n    "support": "{label}"{tail}' for label, tail in rows]
+        _write("[\n" + ",\n".join(items) + "\n]\n", args.out)
 
 
 def _cmd_tables(args) -> None:

@@ -70,6 +70,14 @@ def profile(boundaries: Sequence[int], values: Iterable[Fraction | int | str]) -
     return GroupedWeightProfile(tuple(boundaries), tuple(Fraction(v) for v in values))
 
 
+def _reachable(prof: GroupedWeightProfile) -> list[Fraction]:
+    """Entry i is the most weight groups i..p-1 can still add."""
+    tail = [Fraction(0)] * (len(prof.widths) + 1)
+    for i in range(len(prof.widths) - 1, -1, -1):
+        tail[i] = tail[i + 1] + prof.values[i] * prof.widths[i]
+    return tail
+
+
 def level_solutions(prof: GroupedWeightProfile) -> tuple[LevelSolution, ...]:
     """All per-group weight tuples m with sum a_i*m_i == 1/2, 0 <= m_i <= width_i.
 
@@ -80,10 +88,7 @@ def level_solutions(prof: GroupedWeightProfile) -> tuple[LevelSolution, ...]:
     widths = prof.widths
     values = prof.values
     p = len(widths)
-    # max weight still reachable from group i onward
-    tail = [Fraction(0)] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        tail[i] = tail[i + 1] + values[i] * widths[i]
+    tail = _reachable(prof)
 
     out: list[LevelSolution] = []
     stack: list[int] = []
@@ -104,20 +109,39 @@ def level_solutions(prof: GroupedWeightProfile) -> tuple[LevelSolution, ...]:
     return tuple(sorted(out))
 
 
+def _support_size(prof: GroupedWeightProfile) -> int:
+    """The number of masks whose group weights solve the level equation:
+    the sum over level solutions m of prod comb(width_i, m_i), counted
+    group by group over the exact partial sums that can still reach 1/2,
+    so no solution is listed."""
+    counts = {Fraction(0): 1}
+    for a, w, rest in zip(prof.values, prof.widths, _reachable(prof)[1:]):
+        step: dict[Fraction, int] = {}
+        for acc, count in counts.items():
+            for m in range(w + 1):
+                total = acc + a * m
+                if total > _HALF:
+                    break
+                if total + rest >= _HALF:
+                    step[total] = step.get(total, 0) + count * math.comb(w, m)
+        counts = step
+    return counts.get(_HALF, 0)
+
+
 def construct(prof: GroupedWeightProfile) -> PartialBooleanFn:
     """The promise function this profile's algorithm decides: 0 only on the
     all-zeros input, 1 on every mask whose group weights solve the level
     equation, undefined elsewhere. A support past the listing cap
-    (`core.check_listing`) is refused before any mask is listed."""
-    solutions = level_solutions(prof)
-    if not solutions:
-        raise EmptySupportError("profile admits no level solutions; nothing to compute")
+    (`core.check_listing`) is refused from its count (`_support_size`),
+    before any level solution or mask is listed."""
     n = prof.n
-    widths = prof.widths
-    count = sum(math.prod(map(math.comb, widths, sol)) for sol in solutions)
+    count = _support_size(prof)
+    if not count:
+        raise EmptySupportError("profile admits no level solutions; nothing to compute")
     check_listing(n, count, "the profile's support")
+    widths = prof.widths
     ones: set[int] = set()
-    for sol in solutions:
+    for sol in level_solutions(prof):
         per_group = []
         offset = n
         for w, m in zip(widths, sol):

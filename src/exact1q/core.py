@@ -93,10 +93,14 @@ def _sorted_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 def _checked_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Masks given from outside, ascending without repeats, or SchemaError
-    naming one that is not an int. A bool is not a mask, as it is not an
-    arity (`check_arity`), and a float or a string would fail later as a
-    raw TypeError."""
-    masks = tuple(masks)
+    naming one that is not an int, or the argument itself when it is not
+    iterable (a single int in place of the list). A bool is not a mask, as
+    it is not an arity (`check_arity`), and a float or a string would fail
+    later as a raw TypeError."""
+    try:
+        masks = tuple(masks)
+    except TypeError:
+        raise SchemaError(f"masks must be a list of integers, got {masks!r}") from None
     bad = [m for m in masks if not isinstance(m, int) or isinstance(m, bool)]
     if bad:
         raise SchemaError(f"masks must be integers, got {bad[0]!r}")

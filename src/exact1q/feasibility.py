@@ -59,6 +59,12 @@ class WeightVector:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
+        try:
+            z = tuple(self.z)
+        except TypeError:
+            raise SchemaError(f"weights must be a list of integers or Fractions, got {self.z!r}") from None
+        # stored as a tuple, so a vector given as a list still hashes
+        object.__setattr__(self, "z", z)
         # a bool is not a weight, and a float is not exact
         bad = [v for v in self.z if not isinstance(v, (int, Fraction)) or isinstance(v, bool)]
         if bad:

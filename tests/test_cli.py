@@ -74,6 +74,8 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["dj", "--n", "21"], None),
         # every mask of weight 11 of 22 bits: 705,432 masks to list
         (["construct", "--k", "0,22", "--a", "1/22"], None),
+        # 24 one-bit groups: 2,704,156 masks, refused before any level solution is listed
+        (["construct", "--k", ",".join(map(str, range(25))), "--a", ",".join(["1/24"] * 24)], None),
         (["construct", "--k", "0,2", "--a", "1/0"], None),
         (["construct", "--k", "a", "--a", "1/2"], None),
         (["decide", "{file}"], b"\xff\xfe{}"),
@@ -83,6 +85,7 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
         (["decide", "{file}"], b'{"n": ' + b"9" * 5000 + b', "ones": [], "zeros": []}'),
     ],
     ids=["zero-denominator-coeffs", "polyfn-past-mask-cap", "dj-past-mask-cap", "construct-past-mask-cap",
+         "construct-one-bit-groups-past-mask-cap",
          "zero-denominator-a", "non-integer-k", "non-utf8-file", "negative-arity", "zero-arity", "bool-arity",
          "int-past-digit-limit"],
 )
@@ -188,6 +191,14 @@ def test_workers_flag_is_gone(capsys, command):
             ["tables", "--n", "3"],
             "24c6175128e0ee37c6261a1b7357da8323b2d36ce4c6d11c8eb1d5e704472077",
         ),
+        (
+            ["enumerate", "--n", "4", "--format", "json"],
+            "cc53fb4f30a3c99de2e6e40c10679d55667a884b6dda250e71f75cfc86789080",
+        ),
+        (
+            ["enumerate", "--n", "5", "--format", "csv"],
+            "5f5f9e562dca27eae4b198a7830898ebe77a408d38b1460ae8ce0dcf08b3bfd7",
+        ),
     ],
 )
 def test_output_bytes_pinned(tmp_path, argv, digest):
@@ -196,6 +207,22 @@ def test_output_bytes_pinned(tmp_path, argv, digest):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_rows_match_the_records(tmp_path, n):
+    # the rows written from the cover map, one formatted tail per distinct
+    # cover entry, are the records' rows, in CSV and in JSON
+    from exact1q.classify import _mask_strings, enumerate_reduced
+    from exact1q.cli import _CSV_COLUMNS, _enumerate_rows, _record_row
+
+    rows = [_record_row(rec, _mask_strings(n)) for rec in enumerate_reduced(n)]
+    assert [[label, *tail] for label, tail in _enumerate_rows(n, tuple)] == rows
+    out = tmp_path / "out"
+    assert main(["enumerate", "--n", str(n), "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(",".join(row) for row in [list(_CSV_COLUMNS), *rows]) + "\n"
+    assert main(["enumerate", "--n", str(n), "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps([dict(zip(_CSV_COLUMNS, row)) for row in rows], indent=2) + "\n"
 
 
 def test_decide_output_bytes_pinned(tmp_path):

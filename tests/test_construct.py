@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -170,6 +172,40 @@ def test_construct_counts_its_listing_exactly(monkeypatch, boundaries, values):
     monkeypatch.setattr(module, "check_listing", lambda n, masks, what: counts.append(masks))
     fn = construct(profile(boundaries, values))
     assert counts == [len(fn.ones)]
+
+
+def test_construct_refuses_before_walking_level_solutions(monkeypatch):
+    # 24 one-bit groups of 1/24: C(24, 12) = 2,704,156 masks, each its own
+    # level solution, counted group by group and refused with none listed
+    module = importlib.import_module("exact1q.construct")
+
+    def no_walk(prof):
+        raise AssertionError("walked the level solutions past the cap")
+
+    monkeypatch.setattr(module, "level_solutions", no_walk)
+    with pytest.raises(ArityTooLargeError, match="listing 2,704,156 masks; the cap is 20 variables"):
+        construct(profile(range(25), [F(1, 24)] * 24))
+
+
+def test_support_size_matches_level_solutions():
+    # the count over partial sums equals the sum over listed solutions, on
+    # profiles of one to four groups, empty supports included
+    from exact1q.construct import _support_size
+
+    rng = random.Random(7)
+    checked = nonempty = 0
+    while checked < 300:
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        values = [F(rng.randint(1, 5), rng.randint(2, 16)) for _ in widths]
+        total = sum(a * w for a, w in zip(values, widths))
+        if not F(1, 2) <= total <= 1:
+            continue
+        prof = profile([0, *itertools.accumulate(widths)], values)
+        expected = sum(math.prod(map(math.comb, prof.widths, sol)) for sol in level_solutions(prof))
+        assert _support_size(prof) == expected
+        checked += 1
+        nonempty += expected > 0
+    assert nonempty > 50
 
 
 @pytest.mark.parametrize("n", range(1, 11))

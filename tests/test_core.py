@@ -1,4 +1,6 @@
 import itertools
+import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -20,6 +22,7 @@ from exact1q.errors import (
     InvalidPermutationError,
     SchemaError,
 )
+from exact1q.feasibility import WeightVector
 
 from bruteforce import bf_diff_set, bf_symmetric
 
@@ -160,6 +163,26 @@ def test_constructor_rejects_non_int_masks(ones, zeros):
     # a mask is an int and not a bool, checked before any sort or range test
     with pytest.raises(SchemaError, match="masks must be integers"):
         PartialBooleanFn(2, ones=ones, zeros=zeros)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WeightVector([F(1, 2)]), None),
+        (lambda: WeightVector(0.5), "weights must be a list of integers or Fractions, got 0.5"),
+        (lambda: PartialBooleanFn(2, ones=1), "masks must be a list of integers, got 1"),
+    ],
+    ids=["weights-as-list", "weights-not-iterable", "masks-not-iterable"],
+)
+def test_inputs_from_outside(build, message):
+    # weights given as a list are kept as a tuple, so the vector hashes; a
+    # value that is not iterable is a SchemaError, not a raw TypeError
+    if message is None:
+        vector = build()
+        assert vector.z == (F(1, 2),) and hash(vector) == hash(WeightVector((F(1, 2),)))
+    else:
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            build()
 
 
 def test_non_constant_flag():
