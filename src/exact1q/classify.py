@@ -38,13 +38,26 @@ n independent mask rows, and K's polytope {K's rows, z >= 0, sum(z) <=
 row alone, and neither the 2**31 supports nor the subsets of the rows
 are walked at n=5. The table still checks the rank once per orbit. The
 symmetric and level-confined flags are membership tests in two key sets
-built once per arity from the Hamming levels. The vertices are found in
-integers (fraction-free elimination, Cramer form, depth-first over
-shared row prefixes) by one walk at arity n over the mask rows alone
-(`_vertex_witnesses`). They are solved only for orbit representatives
-under bit relabelling and then closed under the n! relabellings. Orbits
-of maximal supports are read off their witnesses (`_orbits`), by the
-same lemma; no support is ever relabelled.
+built once per arity from the Hamming levels.
+
+Lift lemma. Let v be a table vertex at arity n with v_i = 0, and K its
+1-class. Deleting coordinate i gives a table vertex at arity n - 1: no
+mask of K restricts to 0, as the mask e_i sums to 0 != 1/2, so the
+restricted class is nonempty, and deleting one column lowers the rank n
+by at most 1. Conversely, putting a 0 into a table vertex at arity n - 1
+gives one at arity n: its 1-class holds m and m | e_i for each old m,
+which has rank n. So the vertices with a zero weight are those of arity
+n - 1, lifted, and only the interior vertices (every z_i > 0) are new at
+arity n.
+
+The vertices are found in integers (fraction-free elimination, Cramer
+form, depth-first over shared row prefixes) by one walk per arity over
+the mask rows alone, for the interior vertices, each arity lifting the
+one below (`_level_vertices`). They are solved only for orbit
+representatives under bit relabelling and then closed under the n!
+relabellings (`_vertex_witnesses`). Orbits of maximal supports are read
+off their witnesses (`_orbits`), by the rank lemma; no support is ever
+relabelled.
 
 A record is non-trivial when it is feasible, needs every bit (no
 single query weight can be pinned to zero), is not symmetric, and does
@@ -66,7 +79,7 @@ from .construct import level_set
 from .core import check_arity, mask_bits, mask_to_string, string_to_mask
 from .errors import ArityTooLargeError, InternalError
 from .feasibility import FeasibilityResult, WeightVector, _scaled, verify_result, verify_weights
-from .intlinalg import close_line, extend_echelon, solution_line
+from .intlinalg import close_line, extend_echelon, line_meets_interior, solution_line
 from .poly import input_classes
 from .reduction import ReducedFn
 
@@ -391,13 +404,17 @@ def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, 
 def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
     """The points of the closed simplex z >= 0, sum(z) <= 1 cut out by n
     independent mask rows (`_arrangement_orbits`), in lowest-terms Cramer
-    form (nums, det), for orbit representatives: orbit j contributes the
-    systems made of its first row plus n - 1 rows from orbits j and later.
-    Every system has a relabelling that moves one of its rows from its
-    lowest orbit onto that orbit's first row, so every such point is a
-    relabelling of one found. By the rank lemma (module docstring) these
-    points are the vertices of the whole arrangement, walls included, that
-    have a nonempty 1-class.
+    form (nums, det), for orbit representatives. By the rank lemma (module
+    docstring) these points are the vertices of the whole arrangement,
+    walls included, that have a nonempty 1-class.
+
+    Those with a zero weight are the points of arity n - 1 with a leading
+    0 put in (the lift lemma, module docstring), so the walk at arity n
+    looks only for interior points, every z_i > 0. Orbit j contributes
+    the systems made of its first row plus n - 1 rows from orbits j and
+    later. Every system has a relabelling that moves one of its rows from
+    its lowest orbit onto that orbit's first row, so every such point is a
+    relabelling of one found.
 
     The systems are walked depth-first, rows in order, so each prefix is
     eliminated once for all its completions (`extend_echelon`) and a
@@ -409,19 +426,25 @@ def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
     (Read 1978; McKay 1998). This loses no point: a set is lex-smallest
     only if it is so without its largest index, so the lex-smallest image
     of every system is walked in full, and its point is a relabelling of
-    the system's.
+    the system's. Two more prunes lose no interior point, as such a point
+    lies on the flat of every prefix of its systems: a prefix is dropped
+    when the newest row [c | b] of its echelon has c >= 0 >= b or c <= 0 <=
+    b, as then c . x = b has no solution x > 0 (c != 0, it holds a pivot);
+    and a line is closed only if some point of it has x > 0 and sum(x) <=
+    2 in x = 2z (`line_meets_interior`).
     """
-    found: set[tuple[tuple[int, ...], int]] = set()
+    found = {((0,) + nums, det) for nums, det in _level_vertices(n - 1)} if n > 1 else set()
 
     def walk(rows, lifts, key, images, prefix, start, stop):
         if len(prefix) == n - 1:
             line = solution_line(prefix, n)
-            for row in rows[start:stop]:
-                point = close_line(line, row)
-                if point is not None:
-                    nums, det = point
-                    if min(nums) >= 0 and sum(nums) <= 2 * det:
-                        found.add(point)
+            if line_meets_interior(line, 2):
+                for row in rows[start:stop]:
+                    point = close_line(line, row)
+                    if point is not None:
+                        nums, det = point
+                        if min(nums) > 0 and sum(nums) <= 2 * det:
+                            found.add(point)
             return
         # rows[start:stop] leave enough rows after them to finish a system
         for i in range(start, stop):
@@ -433,7 +456,13 @@ def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
             if any(m & (d := m ^ longer) & -d for m in moved):
                 continue
             echelon = extend_echelon(prefix, rows[i], n)
-            if echelon is not None:
+            if echelon is None:
+                continue
+            # the flat satisfies c . x = b for the newest echelon row [c | b],
+            # c != 0: with c >= 0 >= b or c <= 0 <= b no x > 0 does
+            row = echelon[-1][0]
+            lo, hi = min(row[:n]), max(row[:n])
+            if not (lo >= 0 >= row[n] or hi <= 0 <= row[n]):
                 walk(rows, lifts, longer, moved, echelon, i + 1, len(rows) - (n - 2 - len(prefix)))
 
     for rows, stabiliser in _orbit_systems(n):
@@ -448,13 +477,15 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     Cramer form (nums, det), reduced by the gcd: z = nums / (2 * det).
 
     By the rank lemma (module docstring) these are exactly the points of
-    the closed simplex cut out by n independent mask rows, so one walk at
-    arity n over the mask rows finds them all (`_level_vertices`). Its
-    sorted nums are one representative per orbit under relabelling, closed
-    here under the n! relabellings. At n=5 that is 711 row steps, 512
-    solution lines and 3,580 closed systems (2,318 of them nonsingular)
-    for the 142 vertices; at n=6, 26,139 row steps and 231,835 closes for
-    4,361.
+    the closed simplex cut out by n independent mask rows: the walk at
+    arity n finds the interior ones, and those with a zero weight are
+    lifted from arity n - 1 (`_level_vertices`). Its sorted nums are one
+    representative per orbit under relabelling, closed here under the n!
+    relabellings. For the 142 vertices at n=5 the walk at arity 5 takes
+    486 row steps and 201 solution lines; 38 of the lines meet z > 0, and
+    379 closed systems on them give 295 points. Arities 1..4 add 53 row
+    steps, 22 lines and 52 closes. For the 4,361 at n=6 it is 15,792 row
+    steps, 7,365 lines and 16,123 closes over arities 1..6.
     """
     reps = {(tuple(sorted(nums)), det) for nums, det in _level_vertices(n)}
     return sorted(

@@ -15,8 +15,10 @@ right-hand side as a last column, so a pivot there is a contradiction.
 Witness-first classification walks many systems that share rows, so a
 prefix of rows is eliminated once for every system that starts with it.
 n - 1 independent rows leave a solution line (`solution_line`), and each
-last row meets that line in one point (`close_line`). `solve_square` is
-the row step applied to all n rows.
+last row meets that line in one point (`close_line`); a line with no
+point in the open region {x > 0, sum(x) <= total} is skipped before any
+close (`line_meets_interior`). `solve_square` is the row step applied to
+all n rows.
 """
 
 from __future__ import annotations
@@ -135,6 +137,43 @@ def close_line(
     if g > 1:
         return tuple([v // g for v in nums]), den // g
     return tuple(nums), den
+
+
+def line_meets_interior(line: tuple[Sequence[int], Sequence[int], int], total: int) -> bool:
+    """Whether some point x = (w + t * u) / det of the line, t rational,
+    has every x_i > 0 and sum(x) <= total.
+
+    With det > 0 (negate w, u and det otherwise) each x_i > 0 bounds t
+    strictly, from below at -w_i / u_i when u_i > 0 and from above when
+    u_i < 0, and is w_i > 0 when u_i = 0; sum(x) <= total bounds t by
+    sum(u) * t <= total * det - sum(w). At most one bound is non-strict, so
+    the interval is nonempty iff its greatest lower bound is below its
+    least upper bound. Bounds p / q, q > 0, are compared in integers.
+    """
+    w, u, det = line
+    if det < 0:
+        w, u, det = [-v for v in w], [-v for v in u], -det
+    # (p, q) stands for p / q; None for no bound
+    lo = hi = None
+    for a, b in zip(w, u):
+        if b > 0:
+            if lo is None or -a * lo[1] > lo[0] * b:
+                lo = -a, b
+        elif b < 0:
+            if hi is None or a * hi[1] < hi[0] * -b:
+                hi = a, -b
+        elif a <= 0:
+            return False
+    s, c = sum(u), total * det - sum(w)
+    if s > 0:
+        if hi is None or c * hi[1] < hi[0] * s:
+            hi = c, s
+    elif s < 0:
+        if lo is None or -c * lo[1] > lo[0] * -s:
+            lo = -c, -s
+    elif c < 0:
+        return False
+    return lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1]
 
 
 def solve_square(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int] | None:

@@ -6,9 +6,11 @@ every column subset (for the reduced system, and for the unreduced one
 over z_0..z_n that `decide` answers), answers re-checked in Fractions (a
 `decide` answer by multiplying out every weight or multiplier against
 every sign, a reduced-system answer against every support equation),
-arrangement vertices by solving every square system, the presolve by
-rational Gauss-Jordan elimination that carries every row's combination
-of the input rows, difference sets by looping over input pairs,
+arrangement vertices by solving every square system, whether a line
+has a point with x > 0 and sum(x) <= total by trying every breakpoint of
+its bounds, the midpoints between them and a point beyond each end, the
+presolve by rational Gauss-Jordan elimination that carries every row's
+combination of the input rows, difference sets by looping over input pairs,
 group-weight supports by scanning all masks, Hamming levels by
 counting bits, polynomial input classes by summing each mask's
 coefficients, the vertex-table rows covering a support by testing
@@ -271,6 +273,24 @@ def bf_vertices(n: int):
         if sol is not None and all(v >= 0 for v in sol) and sum(sol) <= 1:
             out.add(tuple(sol))
     return out
+
+
+def bf_line_meets_interior(w, u, det, total) -> bool:
+    """Whether some t gives x = (w + t * u) / det every x_i > 0 and
+    sum(x) <= total, in Fractions: the set of such t is an interval whose
+    ends are among the breakpoints -w_i / u_i and the sum wall's, so it
+    holds a breakpoint, the midpoint of two adjacent ones, or a point
+    beyond both ends, if it is nonempty."""
+    cuts = {Fraction(-a, b) for a, b in zip(w, u) if b}
+    if sum(u):
+        cuts.add(Fraction(total * det - sum(w), sum(u)))
+    cuts = sorted(cuts) or [Fraction(0)]
+    tries = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[0] - 1, cuts[-1] + 1]
+    for t in tries:
+        x = [Fraction(a + t * b, det) for a, b in zip(w, u)]
+        if all(v > 0 for v in x) and sum(x) <= total:
+            return True
+    return False
 
 
 def bf_inclusion(keys):

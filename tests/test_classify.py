@@ -308,13 +308,30 @@ def test_witness_first_runs_at_n5_spotcheck(monkeypatch):
 
     for name, attr in (("row", "extend_echelon"), ("line", "solution_line"), ("close", "close_line")):
         monkeypatch.setattr(classify, attr, counted(name, getattr(classify, attr)))
+    # the walk at each arity, the arities it lifts from included
+    walks = {}
+    level_vertices = classify._level_vertices
+
+    def level(n):
+        before = dict(calls)
+        out = level_vertices(n)
+        walks[n] = {k: calls[k] - before[k] for k in calls}
+        return out
+
+    monkeypatch.setattr(classify, "_level_vertices", level)
     recs = maximal_feasible(5)
-    # mask rows only, at arity 5 alone, orbit representatives only,
-    # depth-first, each prefix lex-smallest under its orbit's stabiliser:
-    # 711 row steps, 512 lines, 3,580 last rows of which 2,318 meet their
-    # line. The rank check of the 15 orbits' 1-classes takes 95 row steps
-    # more
-    assert calls == {"row": 711, "rank": 95, "line": 512, "close": 3580, "point": 2318}
+    # mask rows only, orbit representatives only, depth-first, each prefix
+    # lex-smallest under its orbit's stabiliser and with a flat that may
+    # hold some z > 0; interior points only, the others lifted from arity
+    # 4. At arity 5: 486 row steps, 201 lines, and 379 last rows on the
+    # lines that meet z > 0, of which 295 meet their line. Arities 1..4
+    # add 53 row steps, 22 lines and 52 closes (43 points). The rank check
+    # of the 15 orbits' 1-classes takes 95 row steps more
+    assert sorted(walks) == [1, 2, 3, 4, 5]
+    own = {k: walks[5][k] - walks[4][k] for k in calls}
+    assert own == {"row": 486, "rank": 0, "line": 201, "close": 379, "point": 295}
+    assert walks[4] == {"row": 53, "rank": 0, "line": 22, "close": 52, "point": 43}
+    assert calls == {"row": 539, "rank": 95, "line": 223, "close": 431, "point": 338}
     supports = {rec.support for rec in recs}
     assert level_set(5, 3) in supports
     assert all(rec.maximal for rec in recs)
@@ -365,6 +382,22 @@ def test_rank_lemma_on_the_oracle(n):
         for perm in itertools.permutations(range(n))
     }
     assert found == classed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lift_lemma_on_the_oracle(n):
+    # the lift lemma of `classify`, on the oracle: deleting a zero weight
+    # of a vertex with a nonempty 1-class gives such a vertex at arity
+    # n - 1, and putting a zero anywhere into one of those gives one at n
+    from bruteforce import HALF, bf_input_classes, bf_vertices
+
+    def classed(k):
+        return {v for v in bf_vertices(k) if bf_input_classes(k, v, HALF)[1]}
+
+    here, below = classed(n), classed(n - 1)
+    lowered = {v[:i] + v[i + 1:] for v in here for i in range(n) if v[i] == 0}
+    assert lowered and lowered <= below
+    assert {v[:i] + (0,) + v[i:] for v in below for i in range(n)} <= here
 
 
 def test_vertex_table_rows_verify_and_sort_by_reversed_weights():

@@ -3,8 +3,8 @@
 Seeded random small integer systems, a third of their rows built as
 integer combinations of earlier rows so that singular and rank-deficient
 systems are common. The oracles are `bruteforce._solve_exact` (rational
-Gauss-Jordan) and a Leibniz determinant; neither shares code with
-`intlinalg`.
+Gauss-Jordan), a Leibniz determinant and `bruteforce.bf_line_meets_interior`
+(Fractions at every breakpoint); none shares code with `intlinalg`.
 """
 
 import itertools
@@ -12,9 +12,10 @@ import math
 import random
 from fractions import Fraction
 
-from bruteforce import _solve_exact
+from bruteforce import _solve_exact, bf_line_meets_interior
+from hypothesis import example, given, settings, strategies as st
 
-from exact1q.intlinalg import close_line, extend_echelon, solution_line, solve_square
+from exact1q.intlinalg import close_line, extend_echelon, line_meets_interior, solution_line, solve_square
 
 
 def _det(matrix):
@@ -126,3 +127,34 @@ def test_line_satisfies_its_rows_and_closes_like_solve_square():
             assert point == (tuple(v // g for v in snums), sdet // g)
             assert [Fraction(v, den) for v in nums] == _oracle(rows, n)
     assert lines > 150 and closed > 100
+
+
+_small = st.integers(-3, 3)
+
+
+def _vectors(n):
+    return st.lists(_small, min_size=n, max_size=n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(_vectors(n), _vectors(n))),
+    _small.filter(bool),
+    st.integers(-1, 3),
+)
+# u_i = 0 with w_i = 0: x_i is 0 on the whole line
+@example(([0, 1], [0, 1]), 1, 2)
+# sum(u) = 0: the sum is fixed, at the bound or past it
+@example(([1, 1], [1, -1]), 1, 2)
+@example(([2, 1], [1, -1]), 1, 2)
+# tangent at a breakpoint: x_1 > 0 needs t > 0, x_2 > 0 needs t < 0
+@example(([0, 0], [1, -1]), 1, 2)
+# tangent at the sum wall's breakpoint: x_1 > 0 needs t > 0, the sum t <= 0
+@example(([0, 1], [1, 1]), 1, 1)
+# det < 0: x = (t, 1 + t) as above, and x = (1 + t, 1 + t) for -1 < t <= 1/2
+@example(([0, -1], [-1, -1]), -1, 1)
+@example(([-1, -1], [-1, -1]), -1, 3)
+def test_line_meets_interior_matches_breakpoint_oracle(wu, det, total):
+    w, u = wu
+    assert line_meets_interior((w, u, det), total) == bf_line_meets_interior(w, u, det, total)
+
