@@ -404,17 +404,18 @@ def _orbit_systems(n: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, 
 def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
     """The points of the closed simplex z >= 0, sum(z) <= 1 cut out by n
     independent mask rows (`_arrangement_orbits`), in lowest-terms Cramer
-    form (nums, det), for orbit representatives. By the rank lemma (module
-    docstring) these points are the vertices of the whole arrangement,
-    walls included, that have a nonempty 1-class.
+    form (nums, det), one per orbit under relabelling: the one with its
+    nums sorted. By the rank lemma (module docstring) these points are
+    the vertices of the whole arrangement, walls included, that have a
+    nonempty 1-class.
 
     Those with a zero weight are the points of arity n - 1 with a leading
-    0 put in (the lift lemma, module docstring), so the walk at arity n
-    looks only for interior points, every z_i > 0. Orbit j contributes
-    the systems made of its first row plus n - 1 rows from orbits j and
-    later. Every system has a relabelling that moves one of its rows from
-    its lowest orbit onto that orbit's first row, so every such point is a
-    relabelling of one found.
+    0 put in (the lift lemma, module docstring), which keeps them sorted,
+    so the walk at arity n looks only for interior points, every z_i > 0.
+    Orbit j contributes the systems made of its first row plus n - 1 rows
+    from orbits j and later. Every system has a relabelling that moves one
+    of its rows from its lowest orbit onto that orbit's first row, so
+    every such point is a relabelling of one found.
 
     The systems are walked depth-first, rows in order, so each prefix is
     eliminated once for all its completions (`extend_echelon`) and a
@@ -444,7 +445,7 @@ def _level_vertices(n: int) -> set[tuple[tuple[int, ...], int]]:
                     if point is not None:
                         nums, det = point
                         if min(nums) > 0 and sum(nums) <= 2 * det:
-                            found.add(point)
+                            found.add((tuple(sorted(nums)), det))
             return
         # rows[start:stop] leave enough rows after them to finish a system
         for i in range(start, stop):
@@ -479,21 +480,16 @@ def _vertex_witnesses(n: int) -> list[tuple[tuple[int, ...], int]]:
     By the rank lemma (module docstring) these are exactly the points of
     the closed simplex cut out by n independent mask rows: the walk at
     arity n finds the interior ones, and those with a zero weight are
-    lifted from arity n - 1 (`_level_vertices`). Its sorted nums are one
-    representative per orbit under relabelling, closed here under the n!
-    relabellings. For the 142 vertices at n=5 the walk at arity 5 takes
+    lifted from arity n - 1 (`_level_vertices`). It gives one point per
+    orbit under relabelling, and the closure here permutes each one's own
+    nums. For the 142 vertices at n=5 the walk at arity 5 takes
     486 row steps and 201 solution lines; 38 of the lines meet z > 0, and
     379 closed systems on them give 295 points. Arities 1..4 add 53 row
     steps, 22 lines and 52 closes. For the 4,361 at n=6 it is 15,792 row
     steps, 7,365 lines and 16,123 closes over arities 1..6.
     """
-    reps = {(tuple(sorted(nums)), det) for nums, det in _level_vertices(n)}
     return sorted(
-        {
-            (tuple([nums[p] for p in perm]), det)
-            for nums, det in reps
-            for perm in itertools.permutations(range(n))
-        }
+        {(perm, det) for nums, det in _level_vertices(n) for perm in itertools.permutations(nums)}
     )
 
 

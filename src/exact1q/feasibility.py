@@ -26,13 +26,13 @@ sign-vector row per XOR difference); a certificate's multipliers
 (mu_d..., mu_le) lift to (mu_le + sum(mu_d)/2, -mu_d/2 ...). The
 unreduced system is only checked, by `verify_decision`, never solved.
 
-Arithmetic is exact and never uses floats, and the solver's inner loops
-hold only ints: the presolve eliminates fraction-free (`intlinalg`), and
-the simplex keeps every tableau row as an integer vector up to a positive
-factor (an integer-preserving tableau, cf. Azulay & Pique 2001, ACM TOMS
-27), with the cost row over one positive denominator. `Fraction`s are
-formed only for the answer. `verify_result` and `verify_decision` scale
-the answer to ints by the lcm of its denominators.
+Arithmetic is exact and never uses floats, and the solver holds only
+ints: the presolve eliminates fraction-free (`intlinalg`), the simplex
+keeps every tableau row as an integer vector up to a positive factor (cf.
+Azulay & Pique 2001, ACM TOMS 27), and a certificate stays ints {row: m}
+over one denominator, on at most free + 1 rows. `Fraction`s are formed
+only for the answer: a witness's in the simplex read-out, a certificate's
+in `_solve_reduced_system`. The verifiers scale an answer back to ints.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import InternalError, SchemaError
 from .intlinalg import extend_echelon, pivot_value, reduce_pivot_rows, solve_square
 from .reduction import ReducedFn, reduce
 
-_ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
@@ -59,16 +58,7 @@ class WeightVector:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
-        try:
-            z = tuple(self.z)
-        except TypeError:
-            raise SchemaError(f"weights must be a list of integers or Fractions, got {self.z!r}") from None
-        # stored as a tuple, so a vector given as a list still hashes
-        object.__setattr__(self, "z", z)
-        # a bool is not a weight, and a float is not exact
-        bad = [v for v in self.z if not isinstance(v, (int, Fraction)) or isinstance(v, bool)]
-        if bad:
-            raise SchemaError(f"weights must be integers or Fractions, got {bad[0]!r}")
+        object.__setattr__(self, "z", _exact_tuple(self.z, "weights"))
         nums, scale = _scaled(self.z)
         if any(v < 0 for v in nums):
             raise SchemaError("weight vector entries must be non-negative")
@@ -77,7 +67,7 @@ class WeightVector:
 
     @property
     def z0(self) -> Fraction:
-        return _ONE - sum(self.z, _ZERO)
+        return 1 - sum(self.z, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -92,6 +82,21 @@ class FarkasWitness:
     """
 
     multipliers: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "multipliers", _exact_tuple(self.multipliers, "multipliers"))
+
+
+def _exact_tuple(values, what):
+    """`values` as a tuple (it hashes) of ints and `Fraction`s, no bool or float, or SchemaError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise SchemaError(f"{what} must be a list of integers or Fractions, got {values!r}") from None
+    bad = [v for v in values if not isinstance(v, (int, Fraction)) or isinstance(v, bool)]
+    if bad:
+        raise SchemaError(f"{what} must be integers or Fractions, got {bad[0]!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ def _presolve(eq_rows, nvars):
     on the first column where it leaves the span of the rows before it,
     so the pivot rows are the first rows that span the system and their
     pivot columns are those of the reduced row echelon form. Returns
-    ('infeasible', multipliers) when the equalities alone are
-    contradictory, the multipliers scaled so that the combined constant
-    is -1, else ('reduced', (rows, pivots)): one integer row [a | b] per
+    ('infeasible', (ints {row: m}, den)) when the equalities alone are
+    contradictory: m / den combines the z rows [a | b / 2] to constant
+    -1. Else ('reduced', (rows, pivots)): one integer row [a | b] per
     pivot (row index, column), in column order, equal to |det| times the
     matching row of the reduced row echelon form. Its entry on its own
     pivot column is |det| > 0, the factor to divide by.
@@ -129,13 +134,13 @@ def _presolve(eq_rows, nvars):
             continue  # a combination of the rows before it, b included
         c = longer[-1][1]
         if c == nvars:
-            # 0 == b with b != 0: row r minus its combination of the pivot
-            # rows certifies, scaled so the constant is -1.
-            y = _pivot_combination(eq_rows, pivots, [row[col] for _, col in pivots], 1)
-            comb = [-v for v in y]
-            comb[r] = _ONE
-            constant = sum(m * e[-1] for m, e in zip(comb, eq_rows))
-            return "infeasible", [-m / constant for m in comb]
+            # 0 == b with b != 0: det times row r minus y times the pivot
+            # rows is 0 == constant; -2 / constant times it has z constant -1
+            y, det = _pivot_combination(eq_rows, pivots, [row[col] for _, col in pivots])
+            constant = det * row[-1] - sum(v * eq_rows[p][-1] for p, v in y.items())
+            mult = {p: 2 * v for p, v in y.items()}
+            mult[r] = -2 * det
+            return "infeasible", (mult, constant)
         prefix = longer
         pivots.append((r, c))
 
@@ -147,17 +152,13 @@ def _presolve(eq_rows, nvars):
     return "reduced", ([rows[j] for j in order], [pivots[j] for j in order])
 
 
-def _pivot_combination(eq_rows, pivots, nums, den):
-    """Multipliers over the equality rows, nonzero on the pivot rows p_j
-    only, whose combination equals nums / den on the pivot columns c_j:
-    one square solve against the transposed pivot block.
-    """
+def _pivot_combination(eq_rows, pivots, nums):
+    """Ints {p_j: y_j} on the pivot rows p_j and det > 0 such that y / det
+    of the pivot rows is nums on the pivot columns c_j: one square solve
+    against the transposed pivot block."""
     system = [[eq_rows[p][c] for p, _ in pivots] + [v] for v, (_, c) in zip(nums, pivots)]
     sol, det = solve_square(system, len(pivots))
-    mult = [_ZERO] * len(eq_rows)
-    for v, (p, _) in zip(sol, pivots):
-        mult[p] = Fraction(v, det * den)
-    return mult
+    return {p: v for v, (p, _) in zip(sol, pivots)}, det
 
 
 def _primitive(row):
@@ -171,18 +172,18 @@ def _solve_nonneg(eq_rows, nvars):
     integer rows [A | b], the weight system in w = 2z, by a phase-1
     simplex on an integer tableau.
 
-    Returns (True, z, None) or (False, None, multipliers), both in z: the
-    witness is w / 2, and the multipliers are one per eq row then one for
-    the sum row, oriented so that the combined z row has coefficients >= 0
-    and constant < 0. Each w row is twice its z row, so a certificate of
-    the w rows certifies the z rows times any positive factor: the
-    simplex's phase-1 duals are kept as they are, and the presolve's
-    multipliers, whose w constant is -1, are doubled to make the z
-    constant -1.
+    Returns (True, {column: z}, None) or (False, None, (ints {row: m},
+    den)), both in z, 0 where a key is missing: the witness is w / 2 in
+    `Fraction`s, and m / den are the multipliers of the eq rows then the
+    sum row (key len(eq_rows)), oriented so that the combined z row has
+    coefficients >= 0 and constant < 0. Each w row is twice its z row, so
+    a certificate of the w rows certifies the z rows times any positive
+    factor: the simplex's phase-1 duals are kept as they are, and the
+    presolve's, already in z, are passed on as they are.
     """
     status, presolved = _presolve(eq_rows, nvars)
     if status == "infeasible":
-        return False, None, [2 * m for m in presolved] + [_ZERO]
+        return False, None, presolved
     reduced, pivots = presolved
 
     # Every tableau row is an integer vector known only up to a positive
@@ -257,22 +258,17 @@ def _solve_nonneg(eq_rows, nvars):
         basis[leave] = enter
 
     if cost[-1] == 0:
-        z = [_ZERO] * nvars
-        for row, b in zip(rows, basis):
-            if b < nvars:
-                z[b] = Fraction(row[-1], 2 * row[b])
+        z = {b: Fraction(row[-1], 2 * row[b]) for row, b in zip(rows, basis) if b < nvars}
         return True, z, None
 
     # Infeasible: the reduced costs of the initial basis columns are the
     # row multipliers over cden. A reduced row is (pivot block)^-1 times
     # the pivot rows, so its multipliers, with each row's sign flip folded
     # in, go back to the eq rows by one solve on the pivot columns.
-    nums = [
-        (cden - v if red[-1] < 0 else v - cden)
-        for v, red in zip(cost[nvars + 1:n_cols], reduced)
-    ]
-    mult = _pivot_combination(eq_rows, pivots, nums, cden)
-    return False, None, mult + [Fraction(cost[nvars], cden)]
+    nums = [cden - v if red[-1] < 0 else v - cden for v, red in zip(cost[nvars + 1:], reduced)]
+    mult, det = _pivot_combination(eq_rows, pivots, nums)
+    mult[len(eq_rows)] = det * cost[nvars]
+    return False, None, (mult, det * cden)
 
 
 def _solve_reduced_system(n, support, fixed):
@@ -283,13 +279,17 @@ def _solve_reduced_system(n, support, fixed):
     rows = [mask_bits(m, n) + (1,) for m in support]
     if fixed:
         rows = [[row[i - 1] for i in free] + [1] for row in rows]
-    feasible, x, mult = _solve_nonneg(rows, len(free))
+    feasible, x, cert = _solve_nonneg(rows, len(free))
     if feasible:
         z = [_ZERO] * n
-        for i, v in zip(free, x):
-            z[i - 1] = v
+        for j, v in x.items():
+            z[free[j] - 1] = v
         return FeasibilityResult(True, witness=WeightVector(tuple(z)))
-    return FeasibilityResult(False, certificate=FarkasWitness(tuple(mult)))
+    mult, den = cert
+    full = [_ZERO] * (len(rows) + 1)
+    for i, v in mult.items():
+        full[i] = Fraction(v, den)
+    return FeasibilityResult(False, certificate=FarkasWitness(tuple(full)))
 
 
 @lru_cache(maxsize=1 << 17)

@@ -262,6 +262,21 @@ def test_weight_vector_rejects_non_exact_weights(z):
         WeightVector(z)
 
 
+@pytest.mark.parametrize("multipliers", [5, None, (0.5, -1.0), ("1/2",), (True, 1, -1, 0), [F(1), 0.25]])
+def test_farkas_witness_rejects_non_exact_multipliers(multipliers):
+    # as for weights: an iterable of ints or Fractions, never a bool, a
+    # float or a string; a float used to reach the verifiers and raise
+    # AttributeError there, and True was read as 1
+    with pytest.raises(SchemaError, match="multipliers must be"):
+        FarkasWitness(multipliers)
+
+
+def test_farkas_witness_given_as_a_list_hashes():
+    cert = FarkasWitness([F(1), 0, F(-1, 2)])
+    assert cert.multipliers == (1, 0, F(-1, 2))
+    assert hash(cert) == hash(FarkasWitness((F(1), 0, F(-1, 2))))
+
+
 def test_verify_result_rejects_corrupted_answers():
     inst = g(3, "110", "101", "011")
     res = decide_reduced(inst)
@@ -297,17 +312,24 @@ def test_every_answer_verifies_n3(records3):
         assert verify_result(inst, decide_reduced(inst))
 
 
+def _dense(mult, den, length):
+    """Integer multipliers {row: m} over den as `length` Fractions."""
+    return [F(mult.get(i, 0), den) for i in range(length)]
+
+
 def _check_presolve(eq_rows, nvars):
     """The integer presolve of rows [a | b] agrees with the rational oracle
     on the pairs (a, b): same status, same pivot rows, same reduced rows,
-    and the same multipliers on both infeasible branches. For the simplex
-    branch the rebuild is linear in the reduced-row combination, so each
-    unit combination is checked, over denominators 1 and 7."""
+    and the same multipliers on both infeasible branches, each integer
+    form {row: m} over den written out as Fractions first. The presolve's
+    own certificate is of the z rows [a | b / 2]: twice the oracle's. For
+    the simplex branch the rebuild is linear in the reduced-row
+    combination, so each unit combination is checked, times 1 and 7."""
     got = _presolve(eq_rows, nvars)
     want = bf_presolve([(row[:-1], row[-1]) for row in eq_rows], nvars)
     assert got[0] == want[0]
     if want[0] == "infeasible":
-        assert got[1] == want[1]
+        assert _dense(*got[1], len(eq_rows)) == [2 * m for m in want[1]]
         return want[0]
     rows, pivots = got[1]
     assert [r for r, _ in pivots] == want[2]
@@ -318,9 +340,10 @@ def _check_presolve(eq_rows, nvars):
     ]
     assert rational == [(coeffs, rhs) for coeffs, rhs, _ in want[1]]
     for j, (_, _, comb) in enumerate(want[1]):
-        for den in (1, 7):
-            nums = [den * int(i == j) for i in range(len(rows))]
-            assert _pivot_combination(eq_rows, pivots, nums, den) == comb
+        for scale in (1, 7):
+            nums = [scale * int(i == j) for i in range(len(rows))]
+            dense = _dense(*_pivot_combination(eq_rows, pivots, nums), len(eq_rows))
+            assert dense == [scale * m for m in comb]
     return want[0]
 
 
@@ -387,6 +410,25 @@ def test_small_answers_pinned(records4):
     for n, support, fixed in _small_queries(records4):
         digest.update(repr(_decide_cached(n, support, fixed)).encode())
     assert digest.hexdigest() == "e7f461003487e27565842a0a0c0931d023532555df97aa5be0e698b34ba42b81"
+
+
+def test_certificates_are_sparse(records4):
+    # a reduced certificate is nonzero on the presolve's pivot rows (at
+    # most one per free bit) and on the row that contradicts them or the
+    # sum row; the lift to the unreduced system adds the normalization row
+    infeasible = collections.Counter()
+    for n, support, fixed in _small_queries(records4):
+        res = _decide_cached(n, support, fixed)
+        if not res.feasible:
+            count = sum(m != 0 for m in res.certificate.multipliers)
+            assert count <= n - len(fixed) + 1, (support, fixed)
+            infeasible["reduced"] += 1
+    for f in seeded_functions((10, 11, 12, 13)):
+        res = decide(f)
+        if not res.feasible:
+            assert sum(m != 0 for m in res.certificate.multipliers) <= f.n + 2, f
+            infeasible["lifted"] += 1
+    assert infeasible == {"reduced": 5577, "lifted": 12}
 
 
 def test_presolve_matches_oracle_unreduced_n10_13():
